@@ -4,99 +4,276 @@ Homomorphism sums over small template graphs are products of edge factors
 summed over all vertex assignments.  Eliminating one vertex at a time keeps
 the cost at B^(treewidth+1) instead of B^k, which is what makes exact block
 densities and large-n homomorphism counts feasible.  The same engine serves
-float-weighted graphon sums and exact int64 counting.
+float-weighted graphon sums and exact integer counting.
+
+No step builds a tensor with three or more free axes.  The engine eliminates
+the variable whose merged factor is smallest among those that leave at most
+two axes.  When every remaining elimination would leave three or more (a
+treewidth-3 pattern such as K4), it slices instead: it conditions on the
+eliminated variable that appears in the most factors and, for each of its
+values, restricts every other variable to the nonzero support of the unary
+factors that the slice leaves on it.  The restriction is exact for any
+factors, because a zero factor zeroes the whole term.  Each slice is
+contracted the same way (down to matrix products, slicing again if needed)
+and the slices are added up exactly.  For K4 on a graph of density p, a slice
+is one matrix product of size about (pn)^3.  Apart from the result itself,
+whose axes are the `keep` variables, every tensor is at most as large as the
+largest input factor or the product of two domains, so there is no size cap.
+
+Integer factor lists are summed exactly by one rule.  Each step bounds its
+output entries by the product of its input entry bounds times the size of the
+domain it sums over.  The step runs in float64 (BLAS, exact for integers of
+that size) when the bound is at most 2^53, in int64 when it is below 2^63,
+and in Python ints (object arrays; by then these are small vectors)
+otherwise.  Slices and other running totals stay int64 while their summed
+bound is below 2^63 and switch to Python ints after that.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-# Largest intermediate tensor we are willing to materialize (entries).
-SIZE_LIMIT = 1 << 27
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_FLOAT_EXACT = 2 ** 53     # float64 holds every integer up to here
+_INT64_END = 2 ** 63       # int64 holds every integer below here
 
 
-class ContractionSizeError(MemoryError):
-    """An intermediate tensor would exceed the size limit."""
-
-
-def contract(factors, domains, keep=(), size_limit=SIZE_LIMIT):
+def contract(factors, domains, keep=()):
     """Sum the product of factors over every variable not listed in `keep`.
 
-    factors: iterable of (vars, array) with array.shape matching the domain
-    sizes of vars; domains: dict var -> domain size; keep: ordered variables
-    of the result.  Returns an ndarray indexed by `keep` (0-d if empty).
-    Variables are eliminated greedily by smallest merged-factor size, which is
-    optimal enough for graphs of <= 15 vertices.
+    factors: iterable of (vars, array) with at most two distinct vars and
+    array.shape matching their domain sizes; domains: dict var -> domain
+    size; keep: ordered variables of the result.  Returns an ndarray indexed
+    by `keep` (0-d if empty).  When every array has an integer dtype the sum
+    is exact: the result is int64, or an object array of Python ints when
+    its bound reaches 2^63.
     """
     factors = [(tuple(vs), np.asarray(arr)) for vs, arr in factors]
     keep = tuple(keep)
     for vs, arr in factors:
+        if len(vs) > 2 or len(set(vs)) < len(vs):
+            raise ValueError(f"factor on {vs}: factors take at most two distinct variables")
         if arr.shape != tuple(domains[v] for v in vs):
             raise ValueError(f"factor on {vs} has shape {arr.shape}, "
                              f"expected {tuple(domains[v] for v in vs)}")
     integer = bool(factors) and all(np.issubdtype(a.dtype, np.integer) for _, a in factors)
-    ones_dtype = np.int64 if integer else np.float64
-
-    elim = [v for v in domains if v not in keep]
+    if integer:
+        # Convert each distinct array once; slices and steps then share it.
+        converted = {}
+        for vs, arr in factors:
+            if id(arr) not in converted:
+                bound = _max_abs(arr)
+                converted[id(arr)] = (_as_dtype(arr, _exact_dtype(bound)), bound)
+        items = [(vs, *converted[id(arr)]) for vs, arr in factors]
+    else:
+        items = [(vs, arr, None) for vs, arr in factors]
     touched = {v for vs, _ in factors for v in vs}
-    for v in elim:
-        if v not in touched:
-            factors.append(((v,), np.ones(domains[v], dtype=ones_dtype)))
+    for v in domains:
+        if v not in keep and v not in touched:
+            items.append(((v,), np.ones(domains[v]), 1 if integer else None))
+    _, out, _ = _contract(items, domains, keep)
+    return out.astype(np.int64) if integer and out.dtype.kind == "f" else out
 
+
+class ExactSum:
+    """Running exact sum of integer arrays of one shape.
+
+    The total is int64 while the summed bounds of the parts stay below 2^63
+    and an object array of Python ints after that.  Parts may arrive as int64,
+    object, or float64 holding exact integers.
+    """
+
+    def __init__(self, shape):
+        self.value = np.zeros(shape, dtype=np.int64)
+        self.bound = 0
+
+    def add(self, part, bound: int, weight: int = 1, index=...):
+        """Add weight * part (entries at most `bound` in magnitude) at `index`."""
+        self.bound += abs(weight) * bound
+        if self.bound >= _INT64_END and self.value.dtype != object:
+            self.value = self.value.astype(object)
+        self.value[index] += weight * _as_dtype(np.asarray(part), self.value.dtype)
+
+
+def _max_abs(arr) -> int:
+    """Largest entry magnitude of an integer-valued array, as a Python int."""
+    if arr.size == 0:
+        return 0
+    return max(int(arr.max()), -int(arr.min()))
+
+
+def _exact_dtype(bound: int):
+    """Cheapest dtype holding integers up to `bound` exactly; float64 gets BLAS."""
+    if bound <= _FLOAT_EXACT:
+        return np.dtype(np.float64)
+    if bound < _INT64_END:
+        return np.dtype(np.int64)
+    return np.dtype(object)
+
+
+def _as_dtype(arr, dtype):
+    """Integer-valued arr in dtype; object arrays hold Python ints, never floats."""
+    if arr.dtype == dtype:
+        return arr
+    if dtype == object and arr.dtype.kind == "f":
+        arr = arr.astype(np.int64)
+    return arr.astype(dtype)
+
+
+def _contract(factors, domains, keep):
+    """Eliminate every non-keep variable; factors are (vars, array, bound).
+
+    bound is the entry bound of an integer list and None for float lists.
+    Returns one factor (keep, array, bound).
+    """
+    elim = [v for v in domains if v not in keep]
     while elim:
-        best_v, best_cost = None, None
-        for v in elim:
-            merged = set()
-            for vs, _ in factors:
-                if v in vs:
-                    merged.update(vs)
-            merged.discard(v)
-            cost = 1
-            for u in merged:
-                cost *= domains[u]
-            if best_cost is None or cost < best_cost or \
-                    (cost == best_cost and str(v) < str(best_v)):
-                best_v, best_cost = v, cost
-        if best_cost > size_limit:
-            raise ContractionSizeError(
-                f"eliminating variable {best_v!r} needs a tensor of {best_cost} entries "
-                f"(limit {size_limit})")
-        v = best_v
+        v = _cheapest(factors, domains, elim)
+        if v is None:
+            return _sliced(factors, domains, keep, elim)
         elim.remove(v)
-        group = [(vs, arr) for vs, arr in factors if v in vs]
-        rest = [(vs, arr) for vs, arr in factors if v not in vs]
-        out_vars = tuple(sorted({u for vs, _ in group for u in vs if u != v}, key=str))
-        new = _einsum(group, out_vars, domains, ones_dtype)
-        factors = rest + [(out_vars, new)]
-
-    if not factors:
-        return np.asarray(1.0)
-    return _einsum(factors, keep, domains, ones_dtype)
+        group = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]] + [_eliminate(group, v, domains)]
+    return _product(factors, keep, domains)
 
 
-def _einsum(group, out_vars, domains, ones_dtype):
-    """einsum the factor group down to out_vars, summing everything else."""
-    letters = {}
+def _cheapest(factors, domains, elim):
+    """The variable whose elimination leaves the smallest tensor of <= 2 axes."""
+    best_v, best_cost = None, None
+    for v in elim:
+        merged = set()
+        for vs, _, _ in factors:
+            if v in vs:
+                merged.update(vs)
+        merged.discard(v)
+        if len(merged) > 2:
+            continue
+        cost = math.prod(domains[u] for u in merged)
+        if best_cost is None or cost < best_cost or \
+                (cost == best_cost and str(v) < str(best_v)):
+            best_v, best_cost = v, cost
+    return best_v
 
-    def letter(u):
-        if u not in letters:
-            if len(letters) >= len(_LETTERS):
-                raise ValueError("too many distinct variables for einsum")
-            letters[u] = _LETTERS[len(letters)]
-        return letters[u]
 
-    subs = []
-    ops = []
-    for vs, arr in group:
-        subs.append("".join(letter(u) for u in vs))
-        ops.append(arr)
-    for u in out_vars:
-        if u not in letters:
-            # keep-variable no factor mentions: broadcast via explicit ones
-            subs.append(letter(u))
-            ops.append(np.ones(domains[u], dtype=ones_dtype))
-    out = "".join(letters[u] for u in out_vars)
-    expr = ",".join(subs) + "->" + out
-    return np.einsum(expr, *ops, optimize=True)
+def _eliminate(group, v, domains):
+    """Sum the product of the factors on v over v: one matrix product.
+
+    Every factor of the group holds v and at most one other variable, and
+    at most two other variables occur in all, so the sum is sum_v u_v M_vx
+    N_vy with u the unary factors and M, N the pairwise factors multiplied
+    together.
+    """
+    group, bound = _step_dtype(group, (domains[v],))
+    unary, pairs = None, {}
+    for vs, arr, _ in group:
+        if len(vs) == 1:
+            unary = arr if unary is None else unary * arr
+            continue
+        u, m = (vs[1], arr) if vs[0] == v else (vs[0], arr.T)
+        pairs[u] = m * pairs[u] if u in pairs else m
+    out_vars = tuple(sorted(pairs, key=str))
+    mats = [pairs[u] for u in out_vars]
+    if not mats:
+        out = unary.sum()
+    elif len(mats) == 1:
+        out = mats[0].sum(axis=0) if unary is None else unary @ mats[0]
+    else:
+        left = mats[0] if unary is None else mats[0] * unary[:, None]
+        out = left.T @ mats[1]
+    return out_vars, np.asarray(out), bound
+
+
+def _product(factors, keep, domains):
+    """Product of factors over keep variables only, as a tensor indexed by keep."""
+    factors, bound = _step_dtype(factors, ())
+    shape = tuple(domains[u] for u in keep)
+    out = None
+    for vs, arr, _ in factors:
+        order = sorted(range(len(vs)), key=lambda i: keep.index(vs[i]))
+        arr = arr.transpose(order).reshape([domains[u] if u in vs else 1 for u in keep])
+        out = arr if out is None else out * arr
+    if out is None or np.shape(out) != shape:
+        # keep variables that no factor mentions
+        ones = np.ones(shape, dtype=np.float64 if out is None else out.dtype)
+        out = ones if out is None else out * ones
+    return keep, np.asarray(out), bound
+
+
+def _step_dtype(group, summed):
+    """Convert an integer group to the dtype its output bound allows.
+
+    The bound is the product of the input bounds (at least 1 each) times the
+    sizes of the summed domains; float groups pass through unchanged.
+    """
+    if not group or group[0][2] is None:
+        return group, None
+    bound = math.prod(max(b, 1) for _, _, b in group) * math.prod(max(d, 1) for d in summed)
+    dtype = _exact_dtype(bound)
+    return [(vs, _as_dtype(arr, dtype), b) for vs, arr, b in group], bound
+
+
+def _sliced(factors, domains, keep, elim):
+    """Condition on the eliminated variable in the most factors; sum the slices."""
+    s = min(elim, key=lambda v: (-sum(v in f[0] for f in factors), str(v)))
+    on_s = [f for f in factors if s in f[0]]
+    rest = [f for f in factors if s not in f[0]]
+    shape = tuple(domains[u] for u in keep)
+    integer = factors[0][2] is not None
+    total = ExactSum(shape) if integer else np.zeros(shape)
+    for x in range(domains[s]):
+        # Factors that share an array share its slices and restrictions.
+        memo = {}
+        sliced = list(rest)
+        for vs, arr, b in on_s:
+            axis = vs.index(s)
+            key = ("take", id(arr), axis)
+            if key not in memo:
+                memo[key] = arr[(slice(None),) * axis + (x, ...)]
+            sliced.append((vs[:axis] + vs[axis + 1:], memo[key], b))
+        unary = {}
+        for vs, arr, _ in sliced:
+            if len(vs) == 1:
+                unary.setdefault(vs[0], []).append(arr)
+        support = {}
+        for u, arrs in unary.items():
+            key = ("support",) + tuple(map(id, arrs))
+            if key not in memo:
+                memo[key] = np.flatnonzero(np.logical_and.reduce([a != 0 for a in arrs]))
+            support[u] = memo[key]
+        if any(idx.size == 0 for idx in support.values()) or \
+                any(vs == () and arr == 0 for vs, arr, _ in sliced):
+            continue        # a zero factor zeroes every term of this slice
+        support = {u: idx for u, idx in support.items() if idx.size < domains[u]}
+        restricted = []
+        for vs, arr, b in sliced:
+            key = ("restrict", id(arr)) + tuple(id(support.get(u)) for u in vs)
+            if key not in memo:
+                memo[key] = _restrict(arr, vs, support)
+            restricted.append((vs, memo[key], b))
+        sub_domains = {u: support[u].size if u in support else domains[u]
+                       for u in keep + tuple(elim) if u != s}
+        _, part, bound = _contract(restricted, sub_domains, keep)
+        index = _restrict_index(keep, domains, support)
+        if integer:
+            total.add(part, bound, index=index)
+        else:
+            total[index] += part
+    if integer:
+        return keep, total.value, total.bound
+    return keep, total, None
+
+
+def _restrict(arr, vs, support):
+    """arr cut down to the support of each of its variables that has one."""
+    for axis, u in enumerate(vs):
+        if u in support:
+            arr = arr.take(support[u], axis=axis)
+    return arr
+
+
+def _restrict_index(vs, domains, support):
+    """Index selecting the supports of vs (all of an axis without a support)."""
+    if not any(u in support for u in vs):
+        return ...
+    return np.ix_(*(support[u] if u in support else np.arange(domains[u]) for u in vs))

@@ -1,12 +1,12 @@
 """Exact subgraph statistics on an observed graph.
 
-Counts are injective-homomorphism based and exact.  Three strategies back the
-public operations: closed forms for the workhorse motifs (edge, 2-star,
-triangle, 4-cycle, bowtie) built from degree sums and matrix powers; ordered
-backtracking with adjacency pruning for small graphs; and, for large graphs
-and general motifs, Moebius inversion over vertex partitions which turns
-injective counts into all-maps homomorphism counts evaluated by tensor
-contraction.
+Counts are injective-homomorphism based and exact at every n.  Three
+strategies back the public operations: closed forms for the workhorse motifs
+(edge, 2-star, triangle, 4-cycle, bowtie) built from degree sums and matrix
+powers; ordered backtracking with adjacency pruning for small graphs; and,
+for large graphs and general motifs, Moebius inversion over vertex
+partitions which turns injective counts into all-maps homomorphism counts
+evaluated by exact integer contraction (`_elim.contract`).
 """
 
 from __future__ import annotations
@@ -18,20 +18,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._elim import contract
+from ._elim import ExactSum, _as_dtype, _exact_dtype, _max_abs, contract
 from .graphon import BlockGraphon, KernelMatrix, empirical_block_graphon
-from .motifs import Motif, vertex_join, K_MAX, MotifSizeError
+from .motifs import Motif, vertex_join, MotifSizeError
 
 _BACKTRACK_N = 24          # below this, plain backtracking wins
-_CLOSED_FORM_N = 1500      # closed-form float64 arithmetic stays exact (max n^5)
 
 
 class GraphSizeError(ValueError):
     """Graph too small for the requested motif statistic."""
-
-
-class CountOverflowError(OverflowError):
-    """Requested count cannot be computed exactly in 64-bit arithmetic."""
 
 
 class Graph:
@@ -52,6 +47,7 @@ class Graph:
         self.latents = latents
         self._nbrs = None
         self._deg = None
+        self._codeg = None
 
     @property
     def n(self) -> int:
@@ -74,6 +70,16 @@ class Graph:
 
     def adj_float(self) -> np.ndarray:
         return self.adj.astype(np.float64)
+
+    @property
+    def codegrees(self) -> np.ndarray:
+        """A @ A in float64 (exact, entries are at most n): common neighbours of
+        each vertex pair, degrees on the diagonal.  Computed once, read-only."""
+        if self._codeg is None:
+            a = self.adj_float()
+            self._codeg = a @ a
+            self._codeg.flags.writeable = False
+        return self._codeg
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -222,34 +228,15 @@ def _quotient_edges(h: Motif, blocks):
     return sorted(edges), rep
 
 
-def _guard_int64(n: int, k: int):
-    # Alternating partial sums can exceed the top term by a small factor.
-    if n ** k >= 2 ** 61:
-        raise CountOverflowError(
-            f"exact count of a {k}-vertex motif in an n={n} graph exceeds 64-bit range")
-
-
 def _hom_count_graph(edges, k: int, g: Graph, pins: dict[int, str] | None = None):
     """All-maps homomorphism count by contraction; pins keep named output axes.
 
-    Counts below 2^53 run in float64 (BLAS-backed, still exact for integers in
-    that range); larger ones fall back to int64 summation.
+    The adjacency goes in as integers, so `contract` counts exactly at any n.
     """
-    dtype = np.float64 if g.n ** k < 2 ** 53 else np.int64
-    adj = g.adj.astype(dtype)
     pins = pins or {}
-    rename = dict(pins)
-    domains = {rename.get(v, v): g.n for v in range(k)}
-    factors = [((rename.get(u, u), rename.get(v, v)), adj) for u, v in edges]
-    touched = {v for vs, _ in factors for v in vs}
-    ones = np.ones(g.n, dtype=dtype)
-    for v in domains:
-        if v not in touched:
-            factors.append(((v,), ones))
-    out = contract(factors, domains, keep=tuple(pins.values()))
-    if dtype is np.float64:
-        return np.round(out).astype(np.int64) if pins else int(round(float(out)))
-    return out
+    domains = {pins.get(v, v): g.n for v in range(k)}
+    factors = [((pins.get(u, u), pins.get(v, v)), g.adj) for u, v in edges]
+    return contract(factors, domains, keep=tuple(pins.values()))
 
 
 def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
@@ -257,9 +244,10 @@ def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
 
     pins are motif vertices whose images stay free output axes.  Partitions
     merging two pinned vertices contribute only on the diagonal of the output,
-    which the callers zero by convention, so they are skipped.
+    which the callers zero by convention, so they are skipped.  Totals are
+    exact: Python ints, or int64 arrays that turn into Python ints before
+    their bound reaches 2^63.
     """
-    _guard_int64(g.n, h.k)
     if len(pins) == 0:
         # Group partitions by quotient isomorphism class so each hom count
         # runs once; the class multiplicity carries the Moebius weights.
@@ -284,7 +272,7 @@ def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
                 if mu:
                     total_scalar += mu * int(_hom_count_graph(edges, q.k, g))
         return total_scalar
-    total = np.zeros((g.n,) * len(pins), dtype=np.int64)
+    total = ExactSum((g.n,) * len(pins))
     for blocks in _set_partitions(tuple(range(1, h.k + 1))):
         if any(sum(1 for p in pins if p in b) > 1 for b in blocks):
             continue
@@ -293,8 +281,9 @@ def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
             continue
         pin_axes = {rep[p]: f"pin{i}" for i, p in enumerate(pins)}
         val = _hom_count_graph(edges, len(blocks), g, pins=pin_axes)
-        total += _mobius(blocks) * np.asarray(val)
-    return total
+        # 0/1 adjacency: at most n choices for each unpinned block
+        total.add(val, g.n ** (len(blocks) - len(pins)), weight=_mobius(blocks))
+    return total.value
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -311,27 +300,39 @@ def _closed_form_keys() -> dict:
 
 
 def _closed_injective_total(name: str, g: Graph) -> int:
-    a = g.adj_float()
-    d = g.degrees.astype(np.float64)
-    n = g.n
+    """Injective count from degree sums and matrix powers.
+
+    Per-entry quantities stay in float64, where their integer values (at most
+    n^2) are exact; the reductions run in int64 or Python ints.
+    """
     if name == "k2":
         return 2 * g.n_edges
+    d = g.degrees
     if name == "k12":
-        return int(round((d * (d - 1)).sum()))
-    a2 = a @ a
+        return _exact_total(d * (d - 1))
+    a = g.adj_float()
+    a2 = g.codegrees
     if name == "k3":
-        return int(round((a2 * a).sum()))
+        return _exact_total(a2 * a)
     if name == "c4":
         codeg = a2 - np.diag(np.diag(a2))
-        return int(round((codeg * (codeg - 1)).sum()))
+        return _exact_total(codeg * (codeg - 1))
     if name == "bowtie":
-        tri = ((a2 * a).sum(axis=1)) / 2          # triangles at each vertex
-        per_vertex = (tri * (tri - 1) / 2).sum()
+        tri = (a2 * a).sum(axis=1) // 2           # triangles at each vertex
+        tri = _as_dtype(tri, _exact_dtype(g.n ** 4))   # tri * (tri - 1) < n^4
+        per_vertex = _exact_total(tri * (tri - 1)) // 2
         codeg = a2 * a                            # codegree restricted to edges
-        per_edge = (codeg * (codeg - 1) / 2).sum() / 2
-        unlabeled = per_vertex - 2 * per_edge
-        return int(round(unlabeled * _BOWTIE.aut))
+        per_edge = _exact_total(codeg * (codeg - 1)) // 4
+        return (per_vertex - 2 * per_edge) * _BOWTIE.aut
     raise KeyError(name)
+
+
+def _exact_total(x) -> int:
+    """Exact sum of an integer-valued array, in int64 when that cannot overflow."""
+    x = _as_dtype(np.asarray(x), np.dtype(np.int64))
+    if _max_abs(x) * x.size >= 2 ** 63:
+        x = x.astype(object)
+    return int(x.sum())
 
 
 def _closed_one_point(name: str, g: Graph) -> np.ndarray:
@@ -343,7 +344,7 @@ def _closed_one_point(name: str, g: Graph) -> np.ndarray:
     if name == "k12":
         leaf = a @ d - d
         return np.vstack([d * (d - 1), leaf, leaf])
-    a2 = a @ a
+    a2 = g.codegrees
     if name == "k3":
         closed3 = (a2 * a).sum(axis=1)
         return np.vstack([closed3] * 3)
@@ -361,16 +362,15 @@ def _closed_two_point(name: str, g: Graph) -> np.ndarray:
     if name == "k2":
         total = 2 * a
     elif name == "k12":
-        a2 = a @ a
+        a2 = g.codegrees
         total = 2 * a * (d[:, None] + d[None, :] - 2) + 2 * a2
     elif name == "k3":
-        a2 = a @ a
+        a2 = g.codegrees
         total = 6 * a * a2
     elif name == "c4":
-        a2 = a @ a
+        a2 = g.codegrees
         p3 = a @ a2 - a * (d[:, None] + d[None, :] - 1)
-        codeg = a2.copy()
-        total = 8 * a * p3 + 4 * codeg * (codeg - 1)
+        total = 8 * a * p3 + 4 * a2 * (a2 - 1)
     else:
         raise KeyError(name)
     np.fill_diagonal(total, 0.0)
@@ -378,9 +378,11 @@ def _closed_two_point(name: str, g: Graph) -> np.ndarray:
 
 
 def _registry_name(h: Motif) -> str | None:
-    if h.k > K_MAX:
+    keys = _closed_form_keys()
+    # Vertex and edge counts rule out most motifs before the k!-permutation key.
+    if not any(k == h.k and len(edges) == h.n_edges for k, edges in keys):
         return None
-    return _closed_form_keys().get(h.canonical_key())
+    return keys.get(h.canonical_key())
 
 
 def _find_isomorphism(src: Motif, dst: Motif) -> dict[int, int] | None:
@@ -412,7 +414,7 @@ def injective_hom_count(h: Motif, g: Graph) -> int:
     if g.n < h.k:
         raise GraphSizeError(f"graph has {g.n} vertices, motif needs {h.k}")
     name = _registry_name(h)
-    if name is not None and g.n <= _CLOSED_FORM_N:
+    if name is not None:
         return _closed_injective_total(name, g)
     if g.n <= _BACKTRACK_N:
         return _backtrack_count(h, g, {})
@@ -453,7 +455,7 @@ def one_point_density(h: Motif, g: Graph) -> OnePointDensity:
     """t_hat(v,h,g) = (1/|Aut|) sum_a X_a(v,h,g) / n^(k-1) for every vertex v."""
     if g.n < h.k:
         raise GraphSizeError(f"graph has {g.n} vertices, motif needs {h.k}")
-    name = _registry_name(h) if g.n <= _CLOSED_FORM_N else None
+    name = _registry_name(h)
     if name == "bowtie":
         name = None
     if name is not None:
@@ -481,7 +483,7 @@ def two_point_matrix(h: Motif, g: Graph) -> KernelMatrix:
     """
     if g.n < h.k:
         raise GraphSizeError(f"graph has {g.n} vertices, motif needs {h.k}")
-    name = _registry_name(h) if g.n <= _CLOSED_FORM_N else None
+    name = _registry_name(h)
     if name == "bowtie":
         name = None
     if name is not None:

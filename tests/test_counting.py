@@ -7,9 +7,10 @@ from graphonstat import (K2, K3, C4, K12, Graph, GraphSizeError, clique,
                          constant_graphon, count_copies, density_hat_t,
                          empirical_graphon, graphon_by_name, hom_density,
                          injective_hom_count, one_point_density, parse_edge_list,
-                         regularity_R_empirical, sample_graph, two_point_matrix)
-from graphonstat.counting import (_backtrack_count, _mobius_injective,
-                                  edge_list_lines, load_edge_list)
+                         path, regularity_R_empirical, regularity_test, sample_graph,
+                         star, two_point_matrix)
+from graphonstat.counting import (_BOWTIE, _backtrack_count, _mobius_injective,
+                                  edge_list_lines, falling_factorial, load_edge_list)
 from graphonstat.motifs import vertex_join
 
 from conftest import random_graph
@@ -257,3 +258,55 @@ class TestRegularityStatistic:
             for s in range(200))
         assert fire_irr >= 0.95 * 200
         assert fire_reg <= 0.05 * 200
+
+
+def complete_graph(n):
+    return random_graph(n, 1.1, seed=0)
+
+
+class TestExactAtEveryN:
+    """Exact counts past the sizes where 64-bit arithmetic runs out.
+
+    Complete graphs are the oracle: a k-vertex motif has exactly
+    falling_factorial(n, k) injective copies in K_n.
+    """
+
+    def test_python_int_path_past_int64(self):
+        g = complete_graph(600)
+        h = star(7)                       # centre 1, 8 vertices: 600^8 > 2^63
+        inj = injective_hom_count(h, g)
+        assert inj == falling_factorial(600, 8) and inj > 2 ** 63
+        assert count_copies(h, g) == falling_factorial(600, 8) // h.aut
+        # pinned at the centre: every vertex is the centre of (599)_7 stars,
+        # and the Moebius bound of the running total passes 2^63
+        x = _mobius_injective(h, g, pins=(1,))
+        assert x.shape == (600,)
+        assert all(int(v) == falling_factorial(599, 7) for v in x)
+
+    def test_seven_vertex_count_near_int64_limit(self):
+        # (500)_7 / 2 copies of P7: steps run in int64 up to 500^7 ~ 0.85 * 2^63
+        g = complete_graph(500)
+        assert count_copies(path(7), g) == falling_factorial(500, 7) // 2
+
+    def test_closed_forms_past_1500(self):
+        g = complete_graph(1600)
+        for h in (K3, _BOWTIE):
+            inj = injective_hom_count(h, g)             # closed form
+            assert inj == falling_factorial(1600, h.k)
+            assert inj == _mobius_injective(h, g)
+
+    def test_k4_by_slicing_at_600(self):
+        g = sample_graph(graphon_by_name("paper-w1"), 600, seed=[20240422, 0, 600])
+        a = g.adj_float()
+        # each K4 is a triangle inside the neighbourhood of each of its 4 vertices
+        walks = 0
+        for c in range(g.n):
+            nb = np.flatnonzero(g.adj[c])
+            b = a[np.ix_(nb, nb)]
+            walks += int(round(((b @ b) * b).sum()))    # 6 closed walks per triangle
+        assert walks % 24 == 0
+        assert count_copies(clique(4), g) == walks // 24
+
+    def test_c4_regularity_test_at_500(self):
+        g = sample_graph(graphon_by_name("paper-w1"), 500, seed=[20240422, 0, 500])
+        assert np.isfinite(regularity_test(g, C4).r_value)

@@ -106,3 +106,82 @@ def test_empirical_graphon_reproduces_all_maps_density():
     assert hom_density(K3, w) == pytest.approx(np.trace(a @ a @ a) / n ** 3, abs=1e-12)
     assert hom_density(C4, w) == pytest.approx(np.trace(a @ a @ a @ a) / n ** 4,
                                                abs=1e-12)
+
+
+# -- contraction engine ----------------------------------------------------------
+
+from hypothesis import given, settings, strategies as st
+
+from graphonstat._elim import contract
+
+_VARS = "abcde"
+
+
+@st.composite
+def factor_lists(draw, entries):
+    """Small factor lists on 3-5 variables: random pairs and unary factors,
+    sometimes every pair (a K4 or K5 factor graph, which forces slicing),
+    plus 0-2 kept variables."""
+    k = draw(st.integers(3, 5))
+    names = _VARS[:k]
+    domains = {v: draw(st.integers(1, 4)) for v in names}
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    if draw(st.booleans()):
+        chosen = pairs
+    else:
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs)))
+    unary = draw(st.lists(st.sampled_from(names), max_size=3))
+    factors = []
+    for vs in [p if draw(st.booleans()) else p[::-1] for p in chosen] + [(u,) for u in unary]:
+        shape = tuple(domains[v] for v in vs)
+        values = draw(st.lists(entries, min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+        factors.append((vs, values, shape))
+    keep = tuple(draw(st.permutations(names))[:draw(st.integers(0, 2))])
+    return factors, domains, keep
+
+
+def _einsum_reference(factors, domains, keep, dtype):
+    """The whole expression as one direct np.einsum, with no elimination order."""
+    names = list(domains)
+    subs = [("".join(vs), np.array(values, dtype=dtype).reshape(shape))
+            for vs, values, shape in factors]
+    subs += [(v, np.ones(domains[v], dtype=dtype)) for v in names]   # untouched variables
+    expr = ",".join(s for s, _ in subs) + "->" + "".join(keep)
+    return np.einsum(expr, *(a for _, a in subs), optimize=False)
+
+
+def _run(factors, domains, keep, dtype):
+    return contract([(vs, np.array(values, dtype=dtype).reshape(shape))
+                     for vs, values, shape in factors], domains, keep=keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_lists(st.integers(-3, 3)))
+def test_contract_integer_matches_einsum_exactly(case):
+    factors, domains, keep = case
+    got = _run(factors, domains, keep, np.int64)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _einsum_reference(factors, domains, keep, np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_lists(st.integers(-2 ** 40, 2 ** 40)))
+def test_contract_large_integers_exact_past_int64(case):
+    # Entries up to 2^40 push steps through float64, int64 and Python ints.
+    factors, domains, keep = case
+    got = _run(factors, domains, keep, np.int64)
+    want = _einsum_reference(factors, domains, keep, object)
+    assert np.array_equal(np.asarray(got, dtype=object), np.asarray(want, dtype=object))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_lists(st.floats(-2.0, 2.0, allow_nan=False)))
+def test_contract_float_matches_einsum(case):
+    factors, domains, keep = case
+    got = _run(factors, domains, keep, np.float64)
+    want = _einsum_reference(factors, domains, keep, np.float64)
+    scale = _einsum_reference([(vs, np.abs(values), shape) for vs, values, shape in factors],
+                              domains, keep, np.float64)
+    # Relative to the sum of absolute terms: cancellation cannot hide an error.
+    assert np.all(np.abs(got - want) <= 1e-12 * scale + 1e-300)
