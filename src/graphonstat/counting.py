@@ -1,28 +1,23 @@
 """Exact subgraph statistics on an observed graph.
 
-Counts are injective-homomorphism based and exact at every n.  Three
+Counts are injective-homomorphism based and exact at every n.  Two
 strategies back the public operations: closed forms for the workhorse motifs
 (edge, 2-star, triangle, 4-cycle, bowtie) built from degree sums and matrix
-powers; ordered backtracking with adjacency pruning for small graphs; and,
-for large graphs and general motifs, Moebius inversion over vertex
-partitions which turns injective counts into all-maps homomorphism counts
-evaluated by exact integer contraction (`_elim.contract`).
+powers, and, for every other motif, Moebius inversion over vertex partitions
+which turns injective counts into all-maps homomorphism counts evaluated by
+exact integer contraction (`_elim.contract`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from ._elim import ExactSum, _as_dtype, _exact_dtype, _max_abs, contract
 from .graphon import BlockGraphon, KernelMatrix, empirical_block_graphon
-from .motifs import Motif, vertex_join, MotifSizeError
-
-_BACKTRACK_N = 24          # below this, plain backtracking wins
+from .motifs import C4, K2, K3, K12, Motif, _canonical_form, vertex_join
 
 
 class GraphSizeError(ValueError):
@@ -45,8 +40,8 @@ class Graph:
         self.adj = a.astype(np.uint8)
         self.adj.flags.writeable = False
         self.latents = latents
-        self._nbrs = None
         self._deg = None
+        self._adj_float = None
         self._codeg = None
 
     @property
@@ -63,13 +58,12 @@ class Graph:
     def n_edges(self) -> int:
         return int(self.degrees.sum()) // 2
 
-    def neighbor_sets(self):
-        if self._nbrs is None:
-            self._nbrs = [frozenset(np.flatnonzero(row)) for row in self.adj]
-        return self._nbrs
-
     def adj_float(self) -> np.ndarray:
-        return self.adj.astype(np.float64)
+        """The adjacency in float64.  Computed once, read-only."""
+        if self._adj_float is None:
+            self._adj_float = self.adj.astype(np.float64)
+            self._adj_float.flags.writeable = False
+        return self._adj_float
 
     @property
     def codegrees(self) -> np.ndarray:
@@ -141,56 +135,6 @@ def empirical_graphon(g: Graph) -> BlockGraphon:
     return empirical_block_graphon(g.adj, name=f"empirical[n={g.n}]")
 
 
-# -- ordered backtracking -----------------------------------------------------
-
-def _backtrack_order(h: Motif, pinned: tuple[int, ...]) -> list[int]:
-    """Vertex order: pinned first, then greedily maximizing placed neighbors."""
-    order = list(pinned)
-    rest = [v for v in range(1, h.k + 1) if v not in order]
-    while rest:
-        best = max(rest, key=lambda v: (sum(1 for u in h.neighbors(v) if u in order),
-                                        len(h.neighbors(v)), -v))
-        order.append(best)
-        rest.remove(best)
-    return order
-
-
-def _backtrack_count(h: Motif, g: Graph, assignment: dict[int, int]) -> int:
-    """Injective homomorphisms of h into g extending the partial assignment."""
-    nbrs = g.neighbor_sets()
-    order = _backtrack_order(h, tuple(assignment))
-    for a, v in assignment.items():
-        for b in h.neighbors(a):
-            if b in assignment and assignment[b] not in nbrs[v]:
-                return 0
-    used = set(assignment.values())
-    if len(used) < len(assignment):
-        return 0
-
-    def extend(idx: int) -> int:
-        if idx == len(order):
-            return 1
-        a = order[idx]
-        placed = [b for b in h.neighbors(a) if b in assignment]
-        if placed:
-            cands = set(nbrs[assignment[placed[0]]])
-            for b in placed[1:]:
-                cands &= nbrs[assignment[b]]
-            cands -= used
-        else:
-            cands = set(range(g.n)) - used
-        total = 0
-        for v in sorted(cands):
-            assignment[a] = v
-            used.add(v)
-            total += extend(idx + 1)
-            used.remove(v)
-            del assignment[a]
-        return total
-
-    return extend(len(assignment))
-
-
 # -- Moebius inversion over vertex partitions ----------------------------------
 
 def _set_partitions(items: tuple[int, ...]):
@@ -249,29 +193,17 @@ def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
     their bound reaches 2^63.
     """
     if len(pins) == 0:
-        # Group partitions by quotient isomorphism class so each hom count
-        # runs once; the class multiplicity carries the Moebius weights.
-        # Classes are bucketed by cheap invariants before the exact check.
-        buckets: dict = {}
+        # Group partitions by the quotient's canonical key so each hom count
+        # runs once; the class's summed Moebius weight multiplies it.
+        classes: dict = {}
         for blocks in _set_partitions(tuple(range(1, h.k + 1))):
             edges, _ = _quotient_edges(h, blocks)
             if edges is None:
                 continue
-            q = Motif.from_edges(len(blocks), ((u + 1, v + 1) for u, v in edges))
-            mu = _mobius(blocks)
-            bucket = buckets.setdefault((q.k, q.n_edges, q.degree_sequence()), [])
-            for entry in bucket:
-                if _find_isomorphism(q, entry[0]) is not None:
-                    entry[2] += mu
-                    break
-            else:
-                bucket.append([q, edges, mu])
-        total_scalar = 0
-        for bucket in buckets.values():
-            for q, edges, mu in bucket:
-                if mu:
-                    total_scalar += mu * int(_hom_count_graph(edges, q.k, g))
-        return total_scalar
+            key = _canonical_form(len(blocks), tuple(((u + 1, v + 1), 1) for u, v in edges))[0]
+            classes.setdefault(key, [edges, len(blocks), 0])[2] += _mobius(blocks)
+        return sum(mu * int(_hom_count_graph(edges, k, g))
+                   for edges, k, mu in classes.values() if mu)
     total = ExactSum((g.n,) * len(pins))
     for blocks in _set_partitions(tuple(range(1, h.k + 1))):
         if any(sum(1 for p in pins if p in b) > 1 for b in blocks):
@@ -292,11 +224,9 @@ _BOWTIE = vertex_join(Motif.from_edges(3, [(1, 2), (1, 3), (2, 3)]), 1,
                       Motif.from_edges(3, [(1, 2), (1, 3), (2, 3)]), 1)
 
 
-@lru_cache(maxsize=1)
-def _closed_form_keys() -> dict:
-    from .motifs import K2, K3, C4, K12
-    named = {"k2": K2, "k12": K12, "k3": K3, "c4": C4, "bowtie": _BOWTIE}
-    return {motif.canonical_key(): name for name, motif in named.items()}
+# Canonical key -> (name, the motif whose vertex labels the closed-form rows use).
+_CLOSED_FORMS = {m.canonical_key(): (name, m) for name, m in
+                 (("k2", K2), ("k12", K12), ("k3", K3), ("c4", C4), ("bowtie", _BOWTIE))}
 
 
 def _closed_injective_total(name: str, g: Graph) -> int:
@@ -377,47 +307,15 @@ def _closed_two_point(name: str, g: Graph) -> np.ndarray:
     return total
 
 
-def _registry_name(h: Motif) -> str | None:
-    keys = _closed_form_keys()
-    # Vertex and edge counts rule out most motifs before the k!-permutation key.
-    if not any(k == h.k and len(edges) == h.n_edges for k, edges in keys):
-        return None
-    return keys.get(h.canonical_key())
-
-
-def _find_isomorphism(src: Motif, dst: Motif) -> dict[int, int] | None:
-    """A bijection sigma with sigma(E(src)) = E(dst), or None."""
-    if src.k != dst.k or src.n_edges != dst.n_edges:
-        return None
-    for p in itertools.permutations(range(1, src.k + 1)):
-        perm = dict(zip(range(1, src.k + 1), p))
-        if all(dst.has_edge(perm[u], perm[v]) for u, v in src.edges):
-            return perm
-    return None
-
-
-_NAMED_MOTIFS: dict[str, Motif] = {}
-
-
-def _named_motif(name: str) -> Motif:
-    if not _NAMED_MOTIFS:
-        from .motifs import K2, K3, C4, K12
-        _NAMED_MOTIFS.update({"k2": K2, "k12": K12, "k3": K3, "c4": C4,
-                              "bowtie": _BOWTIE})
-    return _NAMED_MOTIFS[name]
-
-
 # -- public operations ----------------------------------------------------------
 
 def injective_hom_count(h: Motif, g: Graph) -> int:
     """Number of injective homomorphisms of h into g (equals |Aut(h)| X(h,g))."""
     if g.n < h.k:
         raise GraphSizeError(f"graph has {g.n} vertices, motif needs {h.k}")
-    name = _registry_name(h)
-    if name is not None:
-        return _closed_injective_total(name, g)
-    if g.n <= _BACKTRACK_N:
-        return _backtrack_count(h, g, {})
+    form = _CLOSED_FORMS.get(h.canonical_key())
+    if form is not None:
+        return _closed_injective_total(form[0], g)
     return _mobius_injective(h, g)
 
 
@@ -455,19 +353,14 @@ def one_point_density(h: Motif, g: Graph) -> OnePointDensity:
     """t_hat(v,h,g) = (1/|Aut|) sum_a X_a(v,h,g) / n^(k-1) for every vertex v."""
     if g.n < h.k:
         raise GraphSizeError(f"graph has {g.n} vertices, motif needs {h.k}")
-    name = _registry_name(h)
-    if name == "bowtie":
-        name = None
-    if name is not None:
-        canon = _named_motif(name)
-        sigma = _find_isomorphism(h, canon)
+    form = _CLOSED_FORMS.get(h.canonical_key())
+    if form is not None and form[0] != "bowtie":
+        name, canon = form
+        # vertex a of h and the vertex of canon with the same canonical label
+        # play the same role
         rows_canon = _closed_one_point(name, g)
-        x_a = np.vstack([rows_canon[sigma[a] - 1] for a in range(1, h.k + 1)])
-    elif g.n <= _BACKTRACK_N:
-        x_a = np.zeros((h.k, g.n))
-        for a in range(1, h.k + 1):
-            for v in range(g.n):
-                x_a[a - 1, v] = _backtrack_count(h, g, {a: v})
+        canon_vertex = {label: v + 1 for v, label in enumerate(canon._form()[1])}
+        x_a = np.vstack([rows_canon[canon_vertex[label] - 1] for label in h._form()[1]])
     else:
         x_a = np.vstack([np.asarray(_mobius_injective(h, g, pins=(a,)), dtype=float)
                          for a in range(1, h.k + 1)])
@@ -483,21 +376,9 @@ def two_point_matrix(h: Motif, g: Graph) -> KernelMatrix:
     """
     if g.n < h.k:
         raise GraphSizeError(f"graph has {g.n} vertices, motif needs {h.k}")
-    name = _registry_name(h)
-    if name == "bowtie":
-        name = None
-    if name is not None:
-        total = _closed_two_point(name, g)
-    elif g.n <= _BACKTRACK_N:
-        total = np.zeros((g.n, g.n))
-        for a in range(1, h.k + 1):
-            for b in range(1, h.k + 1):
-                if a == b:
-                    continue
-                for u in range(g.n):
-                    for v in range(g.n):
-                        if u != v:
-                            total[u, v] += _backtrack_count(h, g, {a: u, b: v})
+    form = _CLOSED_FORMS.get(h.canonical_key())
+    if form is not None and form[0] != "bowtie":
+        total = _closed_two_point(form[0], g)
     else:
         total = np.zeros((g.n, g.n))
         for a in range(1, h.k + 1):
@@ -522,12 +403,7 @@ def regularity_R_empirical(h: Motif, g: Graph) -> float:
     for a in range(1, h.k + 1):
         for b in range(1, h.k + 1):
             join = vertex_join(h, a, h, b)
-            try:
-                key = join.canonical_key()
-            except MotifSizeError:
-                key = (a, b)
-            groups.setdefault(key, [0, join])
-            groups[key][0] += 1
+            groups.setdefault(join.canonical_key(), [0, join])[0] += 1
     s = 0.0
     for count, join in groups.values():
         s += count * density_hat_t(join, g)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import (CovMatrix, Graphon, conditional_1pt, conditional_kernel_2pt,
-                      degree_constant, gamma_matrix, hom_density,
-                      regularity_R_graphon, sigma_matrix)
+from .graphon import (CovMatrix, Graphon, _join_density_cached, conditional_1pt,
+                      conditional_kernel_2pt, degree_constant, gamma_matrix,
+                      hom_density, regularity_R_graphon, sigma_matrix)
 from .motifs import Motif, edge_join
 
 DEFAULT_SAMPLE_GRID = 512
@@ -282,10 +282,7 @@ def _eta_regular(spec: LimitSpec, alpha) -> float:
             for pa in ((x, y) for x in range(1, hi.k + 1) for y in range(1, hi.k + 1) if x != y):
                 for pb in ((x, y) for x in range(1, hj.k + 1) for y in range(1, hj.k + 1) if x != y):
                     join = edge_join(hi, pa, hj, pb, "weak", strict=False)
-                    key = join.canonical_key()
-                    if key not in cache:
-                        cache[key] = hom_density(join, w)
-                    s += cache[key]
+                    s += _join_density_cached(join, w, cache)
             total += a[i] * a[j] * s / (2 * hi.aut * hj.aut)
     return total - 2 * c_sum ** 2
 

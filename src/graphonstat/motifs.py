@@ -1,32 +1,36 @@
-"""Small-graph algebra: motifs, automorphisms, and join operations.
+"""Small-graph algebra: motifs, canonical forms, automorphisms and joins.
 
-Motifs are simple labeled graphs on vertex set {1..k}.  User-facing motifs
-are capped at K_MAX vertices so the exhaustive permutation algorithms stay
-exact and fast; join operations may produce graphs up to 2*K_MAX-1 vertices,
-which are valid intermediates for density formulas.  Joins (vertex join,
-weak/strong edge join) glue two motifs together; their homomorphism densities
-parameterize every variance formula in the package.
+Motifs are simple labeled graphs on vertex set {1..k}; user-facing motifs
+(`parse_motif`) are capped at K_MAX vertices, and join operations may produce
+graphs up to 2*K_MAX-1 vertices, which are valid intermediates for density
+formulas.  Joins (vertex join, weak/strong edge join) glue two motifs
+together; their homomorphism densities parameterize every variance formula
+in the package.
+
+Every isomorphism question (canonical keys, |Aut|, isomorphism tests and the
+labelling that maps a motif onto a registered closed form) is answered by one
+individualization-refinement routine, `_canonical_form`, which is exact or
+raises `MotifSizeError`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 K_MAX = 8
 
 # Joins of two K_MAX-vertex motifs are the largest graphs we ever build.
 _HARD_VERTEX_CAP = 2 * K_MAX - 1
 
-# 10! ~ 3.6M permutations is the practical limit for exhaustive |Aut|.
-_AUT_CAP = 10
-
 Edge = tuple[int, int]
 
 
 class MotifSizeError(ValueError):
-    """Motif exceeds the cap of an exhaustive exact algorithm."""
+    """Motif exceeds a vertex cap or the canonical form's search budget."""
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -35,11 +39,10 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Motif:
-    """Simple labeled graph on vertices {1..k} with cached automorphism count."""
+    """Simple labeled graph on vertices {1..k}."""
 
     k: int
     edges: frozenset[Edge]
-    _aut: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -59,13 +62,10 @@ class Motif:
     @property
     def aut(self) -> int:
         """|Aut|: number of permutations of {1..k} preserving the edge set."""
-        if self._aut is None:
-            if self.k > _AUT_CAP:
-                raise MotifSizeError(
-                    f"automorphism count of a {self.k}-vertex graph exceeds the "
-                    f"exhaustive cap ({_AUT_CAP})")
-            object.__setattr__(self, "_aut", _automorphism_count(self.k, self.edges))
-        return self._aut
+        return self._form()[2]
+
+    def _form(self):
+        return _canonical_form(self.k, tuple(((u, v), 1) for u, v in sorted(self.edges)))
 
     @property
     def n_edges(self) -> int:
@@ -97,16 +97,8 @@ class Motif:
         return Motif.from_edges(self.k, ((perm[u], perm[v]) for u, v in self.edges))
 
     def canonical_key(self):
-        """Lexicographically smallest edge list over all relabelings."""
-        if self.k > K_MAX:
-            raise MotifSizeError(f"canonical form capped at {K_MAX} vertices, got {self.k}")
-        best = None
-        for p in itertools.permutations(range(1, self.k + 1)):
-            perm = dict(zip(range(1, self.k + 1), p))
-            cand = tuple(sorted(_norm_edge(perm[u], perm[v]) for u, v in self.edges))
-            if best is None or cand < best:
-                best = cand
-        return (self.k, best)
+        """Equal for two graphs exactly when they are isomorphic (see `_canonical_form`)."""
+        return self._form()[0]
 
     def __repr__(self):
         es = ",".join(f"{u}-{v}" for u, v in sorted(self.edges))
@@ -162,15 +154,8 @@ class MultiMotif:
         return MultiMotif.from_multiplicities(self.k, mult)
 
     def canonical_key(self):
-        if self.k > K_MAX:
-            raise MotifSizeError(f"canonical form capped at {K_MAX} vertices, got {self.k}")
-        best = None
-        for p in itertools.permutations(range(1, self.k + 1)):
-            perm = dict(zip(range(1, self.k + 1), p))
-            cand = tuple(sorted((_norm_edge(perm[u], perm[v]), m) for (u, v), m in self.edges))
-            if best is None or cand < best:
-                best = cand
-        return (self.k, best)
+        """Equal for two graphs exactly when they are isomorphic (see `_canonical_form`)."""
+        return _canonical_form(self.k, self.edges)[0]
 
     def __repr__(self):
         es = ",".join(f"{u}-{v}x{m}" if m > 1 else f"{u}-{v}" for (u, v), m in self.edges)
@@ -183,35 +168,140 @@ def as_multimotif(h: Motif | MultiMotif) -> MultiMotif:
     return MultiMotif.from_multiplicities(h.k, {e: 1 for e in h.edges})
 
 
-def _automorphism_count(k: int, edges: frozenset[Edge]) -> int:
-    count = 0
-    for p in itertools.permutations(range(1, k + 1)):
-        perm = dict(zip(range(1, k + 1), p))
-        if all(_norm_edge(perm[u], perm[v]) in edges for u, v in edges):
-            count += 1
-    return count
+@lru_cache(maxsize=1 << 16)
+def _canonical_form(k: int, edges: tuple[tuple[Edge, int], ...]):
+    """(key, labelling, aut) of a loopless multigraph on {1..k}.
+
+    edges: sorted ((u, v), multiplicity) pairs with u < v.  key is the
+    lexicographically smallest relabelled edge list over the leaves of the
+    search below, so two graphs share a key exactly when they are isomorphic;
+    labelling[v - 1] is the label of vertex v in a relabelling that gives the
+    key; aut is |Aut|.
+
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): colour refinement splits every cell of an ordered
+    partition by the multiset of (neighbour's cell, edge multiplicity) until
+    nothing splits; the search then individualizes each vertex of the first
+    non-singleton cell in turn and recurses.  A cell of twins (the same
+    multiplicity to every vertex outside it, one multiplicity on every pair
+    inside it) is split in index order without branching: every permutation
+    of it is an automorphism, so it contributes |cell|!.  Two leaves with the
+    same relabelled graph give an automorphism; the search skips a vertex in
+    the orbit of one already tried under the automorphisms found that keep
+    the node's cells, and leaves the subtree where the automorphism was found
+    (the part already searched maps onto it).  By orbit-stabilizer, aut is the
+    product over the first path of the twin factors and of the orbit sizes of
+    the vertices it individualizes.  A search past K_MAX! leaves raises
+    MotifSizeError; graphs with at most K_MAX vertices never reach it.
+    """
+    adj = [[0] * k for _ in range(k)]
+    for (u, v), m in edges:
+        adj[u - 1][v - 1] = adj[v - 1][u - 1] = m
+    nbrs = [[(w, m) for w, m in enumerate(row) if m] for row in adj]
+    leaf_cap = math.factorial(K_MAX)
+    leaves = 0
+    first = best = None                 # (key, labelling, path) of a leaf
+    gens = []                           # automorphisms found, as vertex maps
+    first_path = []                     # (cells, vertex) branched on, first path
+    twin_factor = 1                     # product of twin factors, first path
+
+    def refine(cells):
+        while True:
+            colour = {v: i for i, cell in enumerate(cells) for v in cell}
+            out = []
+            for cell in cells:
+                if len(cell) == 1:
+                    out.append(cell)
+                    continue
+                sig = {v: tuple(sorted((colour[w], m) for w, m in nbrs[v])) for v in cell}
+                out += [[v for v in cell if sig[v] == s] for s in sorted(set(sig.values()))]
+            if len(out) == len(cells):
+                return cells
+            cells = out
+
+    def twins(cell):
+        inside = {adj[u][v] for u, v in itertools.combinations(cell, 2)}
+        outside = [w for w in range(k) if w not in cell]
+        return len(inside) == 1 and all(adj[v][w] == adj[cell[0]][w]
+                                        for v in cell[1:] for w in outside)
+
+    def orbits(cells):
+        """Orbit representatives under the automorphisms found that keep every cell."""
+        cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
+        rep = list(range(k))
+
+        def find(v):
+            while rep[v] != v:
+                v = rep[v]
+            return v
+
+        for g in gens:
+            if all(cell_of[g[v]] == cell_of[v] for v in range(k)):
+                for v in range(k):
+                    rep[find(v)] = find(g[v])
+        return [find(v) for v in range(k)]
+
+    def search(cells, path):
+        """Search below the node reached by path; returns the depth to resume
+        at after finding an automorphism, else None."""
+        nonlocal leaves, first, best, twin_factor
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is None:
+            leaves += 1
+            if leaves > leaf_cap:
+                raise MotifSizeError(f"canonical form of a {k}-vertex graph needs more "
+                                     f"than {leaf_cap} search leaves")
+            label = [0] * k                 # cells are singletons here
+            for pos, (v,) in enumerate(cells, 1):
+                label[v] = pos
+            key = tuple(sorted((_norm_edge(label[u - 1], label[v - 1]), m) for (u, v), m in edges))
+            if first is None:
+                first = best = (key, label, path)
+                return None
+            for ref_key, ref_label, ref_path in (first, best):
+                if key == ref_key:
+                    at = {pos: v for v, pos in enumerate(label)}
+                    gens.append([at[ref_label[v]] for v in range(k)])
+                    return next(d for d, (a, b) in enumerate(zip(path, ref_path)) if a != b)
+            if key < best[0]:
+                best = (key, label, path)
+            return None
+        cell, rest = cells[i], cells[i + 1:]
+        if twins(cell):
+            if first is None:
+                twin_factor *= math.factorial(len(cell))
+            return search(refine(cells[:i] + [[v] for v in cell] + rest), path + (None,))
+        if first is None:
+            first_path.append((cells, cell[0]))
+        tried = []
+        for v in cell:
+            orbit = orbits(cells)
+            if any(orbit[v] == orbit[u] for u in tried):
+                continue
+            tried.append(v)
+            back = search(refine(cells[:i] + [[v], [w for w in cell if w != v]] + rest),
+                          path + (v,))
+            if back is not None and back < len(path):
+                return back
+        return None
+
+    search(refine([list(range(k))]), ())
+    aut = twin_factor
+    for cells, v in first_path:
+        orbit = orbits(cells)
+        aut *= orbit.count(orbit[v])
+    key, labelling, _ = best
+    return (k, key), tuple(labelling), aut
 
 
 def automorphism_count(m: Motif) -> int:
-    """|Aut(m)| by exhaustive permutation check (recomputed, ignores the cache)."""
-    if m.k > K_MAX:
-        raise MotifSizeError(f"motif has {m.k} vertices, cap is {K_MAX}")
-    return _automorphism_count(m.k, m.edges)
+    """|Aut(m)|, from the canonical form (the same value as m.aut)."""
+    return m.aut
 
 
 def is_isomorphic(m1: Motif, m2: Motif) -> bool:
-    """Edge-preserving bijection test by exhaustive search with cheap pre-filters."""
-    if max(m1.k, m2.k) > K_MAX:
-        raise MotifSizeError(f"isomorphism test capped at {K_MAX} vertices")
-    if m1.k != m2.k or m1.n_edges != m2.n_edges:
-        return False
-    if m1.degree_sequence() != m2.degree_sequence():
-        return False
-    for p in itertools.permutations(range(1, m1.k + 1)):
-        perm = dict(zip(range(1, m1.k + 1), p))
-        if all(_norm_edge(perm[u], perm[v]) in m2.edges for u, v in m1.edges):
-            return True
-    return False
+    """Edge-preserving bijection test: the canonical keys agree."""
+    return m1.canonical_key() == m2.canonical_key()
 
 
 def vertex_join(h1: Motif, a: int, h2: Motif, b: int) -> Motif:

@@ -2,8 +2,9 @@
 
 Nothing here shares code with the package's counting or density engines:
 copies are counted by enumerating vertex subsets and their spanning edge
-subsets, and densities are integrated by plain Riemann sums over vertex
-assignments.
+subsets or by ordered backtracking, canonical keys by trying every
+vertex permutation, and densities are integrated by plain
+Riemann sums over vertex assignments.
 """
 
 from __future__ import annotations
@@ -16,15 +17,21 @@ import numpy as np
 from graphonstat import Graph, Motif
 
 
-def canonical_edge_key(k: int, edges: tuple) -> tuple:
-    """Smallest relabeled edge list; tiny graphs only."""
+def canonical_multigraph_key(k: int, edges: tuple) -> tuple:
+    """Smallest relabeled ((u, v), multiplicity) list over all k! relabelings;
+    tiny graphs only."""
     best = None
     for p in itertools.permutations(range(1, k + 1)):
-        perm = dict(zip(range(1, k + 1), p))
-        cand = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+        cand = tuple(sorted(((p[u - 1], p[v - 1]) if p[u - 1] < p[v - 1]
+                             else (p[v - 1], p[u - 1]), m) for (u, v), m in edges))
         if best is None or cand < best:
             best = cand
     return (k, best)
+
+
+def canonical_edge_key(k: int, edges: tuple) -> tuple:
+    """`canonical_multigraph_key` of a simple graph given as (u, v) pairs."""
+    return canonical_multigraph_key(k, tuple((e, 1) for e in edges))
 
 
 def subset_copy_census(g: Graph, max_k: int = 4) -> Counter:
@@ -58,17 +65,23 @@ def all_motifs_up_to(k_max: int):
     """All motifs with 2..k_max vertices and at least one edge, up to isomorphism.
 
     Isolated vertices are allowed, so this is a superset of the 11 classical
-    4-vertex graphs with an edge.
+    4-vertex graphs with an edge.  Deleting a vertex from a k-vertex graph
+    leaves a (k-1)-vertex graph, so adding a vertex k with every possible
+    neighbour set to one graph of each (k-1)-vertex class reaches every
+    k-vertex class; `canonical_edge_key` removes the repeats.
     """
-    seen = {}
+    found = []
+    level = [()]                      # one edge list per class on k - 1 vertices
     for k in range(2, k_max + 1):
-        pairs = list(itertools.combinations(range(1, k + 1), 2))
-        for r in range(1, len(pairs) + 1):
-            for chosen in itertools.combinations(pairs, r):
-                key = canonical_edge_key(k, chosen)
-                if key not in seen:
-                    seen[key] = Motif.from_edges(k, chosen)
-    return list(seen.values())
+        seen = {}
+        for edges in level:
+            for r in range(k):
+                for nbrs in itertools.combinations(range(1, k), r):
+                    cand = edges + tuple((u, k) for u in nbrs)
+                    seen.setdefault(canonical_edge_key(k, cand), cand)
+        level = list(seen.values())
+        found.extend(Motif.from_edges(k, edges) for edges in level if edges)
+    return found
 
 
 def riemann_density(h, weights_fn, m: int = 40) -> float:
@@ -86,3 +99,52 @@ def riemann_density(h, weights_fn, m: int = 40) -> float:
             prod *= weights_fn(grid[assign[u - 1]], grid[assign[v - 1]]) ** mult
         total += prod
     return total / m ** mm.k
+
+
+def _backtrack_order(h: Motif, pinned: tuple[int, ...]) -> list[int]:
+    """Vertex order: pinned first, then greedily maximizing placed neighbors."""
+    order = list(pinned)
+    rest = [v for v in range(1, h.k + 1) if v not in order]
+    while rest:
+        best = max(rest, key=lambda v: (sum(1 for u in h.neighbors(v) if u in order),
+                                        len(h.neighbors(v)), -v))
+        order.append(best)
+        rest.remove(best)
+    return order
+
+
+def _backtrack_count(h: Motif, g: Graph, assignment: dict[int, int]) -> int:
+    """Injective homomorphisms of h into g extending the partial assignment,
+    by ordered backtracking with adjacency pruning."""
+    nbrs = [frozenset(np.flatnonzero(row)) for row in g.adj]
+    order = _backtrack_order(h, tuple(assignment))
+    for a, v in assignment.items():
+        for b in h.neighbors(a):
+            if b in assignment and assignment[b] not in nbrs[v]:
+                return 0
+    used = set(assignment.values())
+    if len(used) < len(assignment):
+        return 0
+
+    def extend(idx: int) -> int:
+        if idx == len(order):
+            return 1
+        a = order[idx]
+        placed = [b for b in h.neighbors(a) if b in assignment]
+        if placed:
+            cands = set(nbrs[assignment[placed[0]]])
+            for b in placed[1:]:
+                cands &= nbrs[assignment[b]]
+            cands -= used
+        else:
+            cands = set(range(g.n)) - used
+        total = 0
+        for v in sorted(cands):
+            assignment[a] = v
+            used.add(v)
+            total += extend(idx + 1)
+            used.remove(v)
+            del assignment[a]
+        return total
+
+    return extend(len(assignment))

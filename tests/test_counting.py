@@ -9,13 +9,13 @@ from graphonstat import (K2, K3, C4, K12, Graph, GraphSizeError, clique,
                          injective_hom_count, one_point_density, parse_edge_list,
                          path, regularity_R_empirical, regularity_test, sample_graph,
                          star, two_point_matrix)
-from graphonstat.counting import (_BOWTIE, _backtrack_count, _mobius_injective,
-                                  edge_list_lines, falling_factorial, load_edge_list)
+from graphonstat.counting import (_BOWTIE, _mobius_injective, edge_list_lines,
+                                  falling_factorial, load_edge_list)
 from graphonstat.motifs import vertex_join
 
 from conftest import random_graph
-from oracles import all_motifs_up_to, oracle_copies, subset_copy_census, \
-    canonical_edge_key
+from oracles import _backtrack_count, all_motifs_up_to, oracle_copies, \
+    subset_copy_census, canonical_edge_key
 
 
 class TestGraphType:

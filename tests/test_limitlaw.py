@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from graphonstat import (K2, K3, LimitSpec, build_limit_spec,
+from graphonstat import (K2, K3, LimitSpec, build_limit_spec, cycle,
                          empirical_log_mgf, gamma_matrix,
                          log_mgf_oracle, marginal_regular_law,
                          sample_limit, sample_limit_projection,
@@ -195,6 +195,12 @@ class TestLogMgfOracle:
         h = 1e-4
         second = (log_mgf_oracle(spec, [1.0], h) + log_mgf_oracle(spec, [1.0], -h)) / h ** 2
         assert second == pytest.approx(total_var, rel=1e-4)
+
+    def test_six_vertex_regular_motif(self, w_const_half):
+        # the weak edge joins of two 6-cycles have up to 10 vertices
+        spec = build_limit_spec([cycle(6)], w_const_half, grid=16)
+        assert spec.regular == (True,)
+        assert np.isfinite(log_mgf_oracle(spec, [1.0], 0.01))
 
 
 def test_linear_profile_variance_identity(w_affine):

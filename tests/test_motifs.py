@@ -1,4 +1,6 @@
 import itertools
+import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from graphonstat import (K2, K3, C4, K12, Motif, MultiMotif, MotifSizeError,
                          automorphism_count, clique, cycle, edge_join,
                          is_isomorphic, parse_motif, path, star, vertex_join)
+import graphonstat.motifs as motif_module
+
+from oracles import all_motifs_up_to, canonical_multigraph_key
 
 
 def brute_aut(m: Motif) -> int:
@@ -44,8 +49,8 @@ class TestAutomorphisms:
     def test_cap(self):
         big = clique(8)
         assert big.aut == 40320
-        with pytest.raises(MotifSizeError):
-            automorphism_count(vertex_join(big, 1, big, 1))
+        # the centre is fixed; each 7-clique is permuted freely, and the two swap
+        assert automorphism_count(vertex_join(big, 1, big, 1)) == 2 * factorial(7) ** 2
 
     @given(motifs())
     @settings(max_examples=60, deadline=None)
@@ -57,6 +62,65 @@ class TestAutomorphisms:
     @settings(max_examples=40, deadline=None)
     def test_matches_independent_enumeration(self, m):
         assert automorphism_count(m) == brute_aut(m)
+
+
+def random_relabel(m, rng):
+    labels = list(range(1, m.k + 1))
+    rng.shuffle(labels)
+    return dict(zip(range(1, m.k + 1), labels))
+
+
+class TestCanonicalForm:
+    def test_all_motifs_up_to_six_vertices(self):
+        # one motif per isomorphism class (classes by exhaustive permutation),
+        # checked again under a random relabeling
+        rng = random.Random(0)
+        motifs = all_motifs_up_to(6)
+        assert len(motifs) == 202
+        keys = {}
+        for m in motifs:
+            other = m.relabel(random_relabel(m, rng))
+            assert other.canonical_key() == m.canonical_key()
+            assert other.aut == m.aut == brute_aut(other)
+            keys[m.canonical_key()] = m
+            # the labelling relabels the motif onto its key
+            _, labelling, _ = other._form()
+            relabelled = other.relabel({v: labelling[v - 1] for v in range(1, other.k + 1)})
+            assert (relabelled.k, tuple((e, 1) for e in sorted(relabelled.edges))) == \
+                other.canonical_key()
+        assert len(keys) == len(motifs)
+
+    def test_multimotif_keys_match_brute_force_isomorphism(self):
+        base = [K2, K12, K3, C4, path(4)]
+        joins = {edge_join(h1, p1, h2, p2, mode)
+                 for h1 in base for h2 in base
+                 for p1 in h1.ordered_edges() for p2 in h2.ordered_edges()
+                 for mode in ("weak", "strong")}
+        ours, brute = {}, {}
+        for j in joins:
+            ours.setdefault(j.canonical_key(), set()).add(j)
+            brute.setdefault(canonical_multigraph_key(j.k, j.edges), set()).add(j)
+        assert set(map(frozenset, ours.values())) == set(map(frozenset, brute.values()))
+        assert any(not j.is_simple() for j in joins)
+
+    def test_beyond_the_old_caps(self):
+        assert cycle(8).aut == 16
+        # two 8-cycles at one vertex: reflect either cycle, or swap them
+        assert vertex_join(cycle(8), 1, cycle(8), 1).aut == 8
+        # 2^7 7! automorphisms and no twin cell: orbit pruning keeps it cheap
+        matching = Motif.from_edges(14, [(2 * i + 1, 2 * i + 2) for i in range(7)])
+        assert matching.aut == 2 ** 7 * factorial(7)
+
+    def test_leaf_guard(self, monkeypatch):
+        # the guard allows K_MAX! leaves; at K_MAX = 3 (6 leaves) the perfect
+        # matching on 14 vertices needs more, at K_MAX = 4 (24 leaves) it fits
+        edges = tuple(((2 * i + 1, 2 * i + 2), 1) for i in range(7))
+        search = motif_module._canonical_form.__wrapped__   # bypass the cache
+        monkeypatch.setattr(motif_module, "K_MAX", 3)
+        with pytest.raises(MotifSizeError):
+            search(14, edges)
+        monkeypatch.setattr(motif_module, "K_MAX", 4)
+        assert search(14, edges)[2] == 2 ** 7 * factorial(7)
 
 
 class TestVertexJoin:
