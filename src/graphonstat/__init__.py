@@ -16,7 +16,7 @@ from .counting import (Graph, GraphSizeError, count_copies, density_hat_t,
                        two_point_matrix)
 from .limitlaw import (LimitSpec, RegularMarginalLaw, build_limit_spec,
                        empirical_log_mgf, log_mgf_oracle, marginal_regular_law,
-                       sample_limit, sample_limit_projection, sample_marginal_regular)
+                       sample_limit, sample_marginal_regular)
 from .bootstrap import (BootstrapDraws, empirical_quantile, multiplier_draws,
                         quadratic_spectral_draws)
 from .inference import (ConfidenceInterval, ConfidenceReport, DegenerateDensityError,

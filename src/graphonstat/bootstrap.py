@@ -5,7 +5,12 @@ Z_1..Z_n and evaluates, per motif, either the centered linear form in the
 empirical 1-point densities (scaled by 1/sqrt(n)) or the centered quadratic
 form in the empirical 2-point matrix with the diagonal delta correction
 (scaled by 1/n).  All motifs of one resample share the same multiplier
-vector, so the draws are joint.
+vector, so the draws are joint.  The forms are evaluated by the limit law's
+sampler core, `limitlaw._chaos_draws`, on seeded blocks of n x 4096 standard
+normals.  The joint quadratic branch stays dense: the eigenvectors of the
+full-rank empirical matrix cost as much as the products they would save.
+Marginal intervals draw the same quadratic law in its spectral form
+(`quadratic_spectral_draws`).
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import Graph, one_point_density, two_point_matrix
+from .limitlaw import _chaos_draws
 from .motifs import Motif
-
-_CHUNK = 4096
 
 BRANCHES = ("linear", "quadratic")
 
@@ -66,38 +70,23 @@ def multiplier_draws(g: Graph, motifs, branches, B: int, seed) -> BootstrapDraws
     The linear branch uses the centered 1-point density vector, the quadratic
     branch the centered 2-point matrix including the delta_{u,v} correction.
     Centering statistics are computed once per motif and shared across
-    resamples; the multiplier stream is chunked deterministically.
+    resamples; the multiplier stream is blocked deterministically.
     """
     if B < 1:
         raise ValueError(f"need B >= 1, got {B}")
     motifs = tuple(motifs)
     branches = _normalize_branches(branches, len(motifs))
     n = g.n
-    lin = {}
-    quad = {}
-    for i, (h, br) in enumerate(zip(motifs, branches)):
+    forms = []
+    for h, br in zip(motifs, branches):
         if br == "linear":
             t_hat = one_point_density(h, g).t_hat
-            lin[i] = t_hat - t_hat.mean()
+            forms.append(("linear", t_hat - t_hat.mean()))
         else:
             vals = two_point_matrix(h, g).values
-            quad[i] = vals - vals.mean()
-
-    rng = np.random.default_rng(seed)
-    out = np.empty((B, len(motifs)))
-    sqrt_n = math.sqrt(n)
-    done = 0
-    while done < B:
-        c = min(_CHUNK, B - done)
-        z = rng.standard_normal((n, c))
-        for i in range(len(motifs)):
-            if i in lin:
-                out[done:done + c, i] = (lin[i] @ z) / sqrt_n
-            else:
-                m = quad[i]
-                vals = np.einsum("uc,uc->c", z, m @ z) - np.trace(m)
-                out[done:done + c, i] = vals / n
-        done += c
+            forms.append(("dense", vals - vals.mean()))
+    out = _chaos_draws(np.random.default_rng(seed), n, B, forms)
+    out /= [math.sqrt(n) if br == "linear" else n for br in branches]
     return BootstrapDraws(motifs, branches, out, B, seed)
 
 
@@ -110,15 +99,8 @@ def quadratic_spectral_draws(g: Graph, h: Motif, B: int, seed) -> np.ndarray:
     """
     vals = two_point_matrix(h, g).values
     lam = np.linalg.eigvalsh(vals - vals.mean())
-    rng = np.random.default_rng(seed)
-    out = np.empty(B)
-    done = 0
-    while done < B:
-        c = min(_CHUNK, B - done)
-        z = rng.standard_normal((len(lam), c))
-        out[done:done + c] = (lam @ (z ** 2 - 1)) / g.n
-        done += c
-    return out
+    out = _chaos_draws(np.random.default_rng(seed), len(lam), B, [("spectral", lam, None)])
+    return out[:, 0] / g.n
 
 
 def empirical_quantile(samples, level: float) -> float:

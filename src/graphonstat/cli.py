@@ -183,10 +183,7 @@ def _cmd_structure(args, config, t0):
 
 def _coverage_rep(task):
     """One coverage replication; module-level so worker pools can pickle it."""
-    (rep, seed_entropy, graphon_spec, motif_text, n, B, alpha, mode) = task
-    w = graphon_by_name(graphon_spec)
-    motifs = _parse_motifs(motif_text)
-    truth = [hom_density(h, w) for h in motifs]
+    (rep, seed_entropy, w, motifs, truth, n, B, alpha, mode) = task
     root = np.random.SeedSequence(entropy=seed_entropy, spawn_key=(rep,))
     graph_seed, boot_seed = root.spawn(2)
     g = sample_graph(w, n, seed=graph_seed)
@@ -206,9 +203,10 @@ def _cmd_coverage_sim(args, config, t0):
     motifs = _parse_motifs(args.motifs)
     if args.mode == "marginal" and len(motifs) != 1:
         raise ValueError("--mode marginal needs exactly one motif")
-    graphon_by_name(args.graphon)          # validate early
-    tasks = [(rep, args.seed, args.graphon, args.motifs, args.n, args.B,
-              args.alpha, args.mode) for rep in range(args.reps)]
+    w = graphon_by_name(args.graphon)
+    truth = [hom_density(h, w) for h in motifs]
+    tasks = [(rep, args.seed, w, motifs, truth, args.n, args.B, args.alpha, args.mode)
+             for rep in range(args.reps)]
     workers = args.workers or (os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:

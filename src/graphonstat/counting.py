@@ -382,9 +382,9 @@ def two_point_matrix(h: Motif, g: Graph) -> KernelMatrix:
     else:
         total = np.zeros((g.n, g.n))
         for a in range(1, h.k + 1):
-            for b in range(1, h.k + 1):
-                if a != b:
-                    total += np.asarray(_mobius_injective(h, g, pins=(a, b)), dtype=float)
+            for b in range(a + 1, h.k + 1):
+                x = np.asarray(_mobius_injective(h, g, pins=(a, b)), dtype=float)
+                total += x + x.T          # X_{b,a}(u,v) = X_{a,b}(v,u)
         np.fill_diagonal(total, 0.0)
     vals = total / (2 * h.aut * float(g.n) ** (h.k - 2))
     return KernelMatrix(vals, h, kind="empirical")

@@ -3,10 +3,18 @@
 The limit of the count vector (after per-motif scaling) couples linear and
 bilinear Wiener-Ito integrals driven by one Brownian motion with an
 independent Gaussian block.  On a grid of m cells the Brownian increments
-become iid N(0, 1/m) variables eta_i; an irregular motif contributes the
-linear form sum_i g(x_i) eta_i and a regular motif the quadratic form
-eta' K eta - tr(K)/m plus its Gaussian coordinate.  The diagonal correction
+become z_i / sqrt(m) with z iid N(0, 1); an irregular motif contributes the
+linear form g'z / sqrt(m) and a regular motif the quadratic form
+z'(K/m)z - tr(K/m) plus its Gaussian coordinate.  Subtracting the trace
 implements the Wiener-Ito exclusion of diagonal squares on the grid.
+
+One core, `_chaos_draws`, evaluates linear, spectral and dense quadratic
+forms on shared blocks of standard normals; the limit-law samplers here and
+the multiplier bootstrap are setup around it.  `sample_limit` evaluates a
+regular coordinate in the spectral form sum_l lambda_l ((phi_l'z)^2 - 1) of
+K/m (the weighted chi-squared form of Bhattacharya, Chatterjee & Janson),
+so a draw costs O(rank * m); eigenvalues below SPECTRAL_CUT relative to the
+kernel bound are cut, with the bound on the cut part stated at `sample_limit`.
 
 A closed-form log moment generating function of any linear combination of the
 limit coordinates is provided as an independent numeric oracle: an absolutely
@@ -21,14 +29,15 @@ import numpy as np
 
 from .graphon import (CovMatrix, Graphon, _join_density_cached, conditional_1pt,
                       conditional_kernel_2pt, degree_constant, gamma_matrix,
-                      hom_density, regularity_R_graphon, sigma_matrix)
+                      hom_density, kernel_bound, regularity_R_graphon, sigma_matrix)
 from .motifs import Motif, edge_join
 
 DEFAULT_SAMPLE_GRID = 512
 DEFAULT_SPECTRUM_GRID = 256
 REGULARITY_TOL = 1e-9
 _PSD_TOL = 1e-8
-_CHUNK = 8192
+SPECTRAL_CUT = 1e-12
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -100,88 +109,62 @@ def _sigma_factor(sigma: CovMatrix | None, n_reg: int) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
+def _chaos_draws(rng, dim: int, draws: int, forms) -> np.ndarray:
+    """Evaluate Gaussian-chaos forms on shared standard normal vectors.
+
+    Blocks of z = rng.standard_normal((dim, c)), c <= _CHUNK, are drawn in
+    order, so a seed fixes every z whatever the forms.  One output column per
+    form, one row per draw:
+      ("linear", v)            v @ z
+      ("spectral", lam, phi)   lam @ ((phi' z)^2 - 1); phi None is the identity
+      ("dense", a)             z' a z - tr(a)
+    """
+    out = np.empty((draws, len(forms)))
+    for start in range(0, draws, _CHUNK):
+        z = rng.standard_normal((dim, min(_CHUNK, draws - start)))
+        for j, (kind, *arrays) in enumerate(forms):
+            if kind == "linear":
+                vals = arrays[0] @ z
+            elif kind == "spectral":
+                lam, phi = arrays
+                y = z if phi is None else phi.T @ z
+                vals = lam @ (y ** 2 - 1)
+            else:
+                a = arrays[0]
+                vals = np.einsum("uc,uc->c", z, a @ z) - np.trace(a)
+            out[start:start + z.shape[1], j] = vals
+    return out
+
+
+def _spectral_form(h: Motif, w: Graphon, m: int):
+    """z'(K/m)z - tr(K/m) on the grid as a weighted chi-squared form in z."""
+    lam, phi = np.linalg.eigh(centered_kernel(h, w, m) / m)
+    keep = np.abs(lam) > SPECTRAL_CUT * kernel_bound(h)
+    return ("spectral", lam[keep], phi[:, keep])
+
+
 def sample_limit(spec: LimitSpec, draws: int, seed) -> np.ndarray:
     """Joint draws of the limit vector; one row per draw, one column per motif.
 
     All coordinates of a draw share the same Brownian increments, and the
     Gaussian block uses a separate substream, so removing a regular motif
     from the spec leaves the remaining irregular columns bit-identical.
+    A regular coordinate keeps the eigenpairs of K/m with |lambda| above
+    SPECTRAL_CUT * kernel_bound(h); the dropped part has standard deviation
+    at most sqrt(2m) * SPECTRAL_CUT * kernel_bound(h).
     """
     m = spec.grid
     if m < 32:
         raise ValueError(f"grid must be >= 32, got {m}")
-    profiles = {}
-    kernels = {}
-    for i, (h, reg) in enumerate(zip(spec.motifs, spec.regular)):
-        if reg:
-            kernels[i] = centered_kernel(h, spec.graphon, m)
-        else:
-            profiles[i] = linear_profile(h, spec.graphon, m)
-    n_reg = len(kernels)
-    sigma_fac = _sigma_factor(spec.sigma, n_reg)
-    traces = {i: np.trace(k) / m for i, k in kernels.items()}
-
-    ss = np.random.SeedSequence(seed)
-    eta_seed, g_seed = ss.spawn(2)
-    eta_rng = np.random.default_rng(eta_seed)
-    g_rng = np.random.default_rng(g_seed)
-
-    out = np.empty((draws, spec.r))
-    done = 0
-    while done < draws:
-        c = min(_CHUNK, draws - done)
-        eta = eta_rng.standard_normal((m, c)) / np.sqrt(m)
-        if n_reg:
-            gauss = sigma_fac @ g_rng.standard_normal((n_reg, c))
-        reg_pos = 0
-        for i in range(spec.r):
-            if i in profiles:
-                out[done:done + c, i] = profiles[i] @ eta
-            else:
-                k = kernels[i]
-                quad = np.einsum("xc,xc->c", eta, k @ eta) - traces[i]
-                out[done:done + c, i] = quad + gauss[reg_pos]
-                reg_pos += 1
-        done += c
-    return out
-
-
-def sample_limit_projection(spec: LimitSpec, alpha, draws: int, seed) -> np.ndarray:
-    """Draws of alpha' Z via the spectral form of the combined quadratic kernel.
-
-    Distribution-equal to alpha @ sample_limit(...) rows but O(grid) per draw,
-    which makes million-draw moment checks cheap.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (spec.r,):
-        raise ValueError(f"alpha must have length {spec.r}")
-    m = spec.grid
-    v = np.zeros(m)
-    u = np.zeros((m, m))
-    for i, (h, reg) in enumerate(zip(spec.motifs, spec.regular)):
-        if alpha[i] == 0:
-            continue
-        if reg:
-            u += alpha[i] * centered_kernel(h, spec.graphon, m)
-        else:
-            v += alpha[i] * linear_profile(h, spec.graphon, m)
-    lam, phi = np.linalg.eigh(u / m)
-    b = (phi.T @ v) / np.sqrt(m)
-    a_reg = alpha[np.asarray(spec.regular, dtype=bool)]
-    gauss_var = float(a_reg @ spec.sigma.entries @ a_reg) if len(a_reg) else 0.0
-
-    ss = np.random.SeedSequence(seed)
-    chi_rng, g_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    out = np.empty(draws)
-    done = 0
-    while done < draws:
-        c = min(_CHUNK * 4, draws - done)
-        chi = chi_rng.standard_normal((m, c))
-        vals = lam @ (chi ** 2 - 1) + b @ chi
-        if gauss_var > 0:
-            vals = vals + np.sqrt(gauss_var) * g_rng.standard_normal(c)
-        out[done:done + c] = vals
-        done += c
+    forms = [_spectral_form(h, spec.graphon, m) if reg
+             else ("linear", linear_profile(h, spec.graphon, m) / np.sqrt(m))
+             for h, reg in zip(spec.motifs, spec.regular)]
+    sigma_fac = _sigma_factor(spec.sigma, sum(spec.regular))
+    eta_rng, g_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    out = _chaos_draws(eta_rng, m, draws, forms)
+    if len(sigma_fac):
+        out[:, np.asarray(spec.regular)] += _chaos_draws(
+            g_rng, len(sigma_fac), draws, [("linear", row) for row in sigma_fac])
     return out
 
 
@@ -222,19 +205,14 @@ def marginal_regular_law(h: Motif, w: Graphon,
 
 
 def sample_marginal_regular(law: RegularMarginalLaw, draws: int, seed) -> np.ndarray:
-    """Draws of sigma*Z + sum_l lambda_l (Z_l^2 - 1) from the reduced spectrum."""
-    rng = np.random.default_rng(seed)
-    lam = law.spectrum
-    out = np.empty(draws)
-    done = 0
-    while done < draws:
-        c = min(_CHUNK * 4, draws - done)
-        z = rng.standard_normal((len(lam), c))
-        vals = lam @ (z ** 2 - 1)
-        vals += law.sigma * rng.standard_normal(c)
-        out[done:done + c] = vals
-        done += c
-    return out
+    """Draws of sigma*Z + sum_l lambda_l (Z_l^2 - 1) from the reduced spectrum.
+
+    The chi-squared part and the Gaussian part use two substreams of the seed.
+    """
+    chi_rng, g_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    chi = _chaos_draws(chi_rng, len(law.spectrum), draws, [("spectral", law.spectrum, None)])
+    gauss = _chaos_draws(g_rng, 1, draws, [("linear", np.array([law.sigma]))])
+    return (chi + gauss)[:, 0]
 
 
 # -- log moment generating function oracle -------------------------------------

@@ -2,7 +2,7 @@
 
 Nothing here shares code with the package's counting or density engines:
 copies are counted by enumerating vertex subsets and their spanning edge
-subsets or by ordered backtracking, canonical keys by trying every
+subsets, injective maps or ordered backtracking, canonical keys by trying every
 vertex permutation, and densities are integrated by plain
 Riemann sums over vertex assignments.
 """
@@ -99,6 +99,22 @@ def riemann_density(h, weights_fn, m: int = 40) -> float:
             prod *= weights_fn(grid[assign[u - 1]], grid[assign[v - 1]]) ** mult
         total += prod
     return total / m ** mm.k
+
+
+def pinned_pair_counts(h: Motif, g: Graph) -> np.ndarray:
+    """sum over ordered vertex pairs a != b of h of X_{a,b}(u, v, h, g).
+
+    Entry (u, v) counts the injective homomorphisms of h into g with a -> u
+    and b -> v, found by trying every injective vertex map; n <= 9 only.
+    """
+    if g.n > 9:
+        raise ValueError(f"brute force over injective maps needs n <= 9, got {g.n}")
+    total = np.zeros((g.n, g.n), dtype=np.int64)
+    for phi in itertools.permutations(range(g.n), h.k):
+        if all(g.adj[phi[u - 1], phi[v - 1]] for u, v in h.edges):
+            for a, b in itertools.permutations(phi, 2):
+                total[a, b] += 1
+    return total
 
 
 def _backtrack_order(h: Motif, pinned: tuple[int, ...]) -> list[int]:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy import stats
 
 from graphonstat import (K2, K3, Graph, BootstrapDraws, constant_graphon,
@@ -83,6 +84,38 @@ class TestMultiplierDraws:
         bd = multiplier_draws(g, [K2], "quadratic", 50_000, seed=27)
         assert abs(bd.samples.mean()) < 0.01
         assert abs(np.trace(m) / g.n) > 0.05    # the correction is not a no-op
+
+
+class TestStreamContract:
+    # Every confidence set at a fixed seed depends on this stream: blocks of
+    # default_rng(seed).standard_normal((n, c)) with c <= 4096, in order.
+    # B = 5000 crosses a block boundary.
+    B = 5000
+
+    def _multipliers(self, n, seed):
+        rng = np.random.default_rng(seed)
+        return np.hstack([rng.standard_normal((n, min(4096, self.B - s)))
+                          for s in range(0, self.B, 4096)])
+
+    def test_multiplier_draws(self):
+        g = random_graph(40, 0.5, seed=39)
+        bd = multiplier_draws(g, [K2, K3], ("linear", "quadratic"), self.B, seed=41)
+        z = self._multipliers(g.n, 41)
+        t_hat = one_point_density(K2, g).t_hat
+        lin = (t_hat - t_hat.mean()) @ z / np.sqrt(g.n)
+        vals = two_point_matrix(K3, g).values
+        m = vals - vals.mean()
+        quad = (np.einsum("uc,uc->c", z, m @ z) - np.trace(m)) / g.n
+        assert_allclose(bd.samples[:, 0], lin, rtol=1e-12)
+        assert_allclose(bd.samples[:, 1], quad, rtol=1e-12)
+
+    def test_quadratic_spectral_draws(self):
+        g = random_graph(40, 0.5, seed=43)
+        got = quadratic_spectral_draws(g, K3, self.B, seed=45)
+        vals = two_point_matrix(K3, g).values
+        lam = np.linalg.eigvalsh(vals - vals.mean())
+        z = self._multipliers(g.n, 45)
+        assert_allclose(got, lam @ (z ** 2 - 1) / g.n, rtol=1e-12)
 
 
 class TestEmpiricalQuantile:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from graphonstat import (K2, K3, C4, K12, Graph, GraphSizeError, clique,
+from graphonstat import (K2, K3, C4, K12, Graph, GraphSizeError, Motif, clique,
                          constant_graphon, count_copies, density_hat_t,
                          empirical_graphon, graphon_by_name, hom_density,
                          injective_hom_count, one_point_density, parse_edge_list,
@@ -15,7 +15,7 @@ from graphonstat.motifs import vertex_join
 
 from conftest import random_graph
 from oracles import _backtrack_count, all_motifs_up_to, oracle_copies, \
-    subset_copy_census, canonical_edge_key
+    pinned_pair_counts, subset_copy_census, canonical_edge_key
 
 
 class TestGraphType:
@@ -198,6 +198,18 @@ class TestTwoPoint:
             # k(k-1) |Aut| X
             assert total == pytest.approx(h.k * (h.k - 1) * h.aut * count_copies(h, g),
                                           rel=1e-12)
+
+    @pytest.mark.parametrize("h", [path(4), star(3),
+                                   Motif.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])],
+                             ids=["p4", "s3", "paw"])
+    def test_mobius_branch_matches_injective_maps(self, h):
+        # no closed form: each unordered pin pair is contracted once and
+        # its transpose supplies the reversed pair
+        for g in (random_graph(9, 0.5, seed=43), random_graph(8, 0.35, seed=47)):
+            want = pinned_pair_counts(h, g) / (2 * h.aut * float(g.n) ** (h.k - 2))
+            assert want.any()
+            np.testing.assert_allclose(two_point_matrix(h, g).values, want,
+                                       rtol=1e-12, atol=0)
 
 
 class TestEmpiricalGraphon:

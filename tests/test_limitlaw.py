@@ -3,12 +3,12 @@ import pytest
 from scipy import stats
 
 from graphonstat import (K2, K3, LimitSpec, build_limit_spec, cycle,
-                         empirical_log_mgf, gamma_matrix,
+                         empirical_log_mgf, gamma_matrix, graphon_by_name,
                          log_mgf_oracle, marginal_regular_law,
-                         sample_limit, sample_limit_projection,
-                         sample_marginal_regular, sigma_matrix)
+                         sample_limit, sample_marginal_regular, sigma_matrix)
 from graphonstat.graphon import conditional_kernel_2pt, degree_constant
-from graphonstat.limitlaw import centered_kernel, linear_profile, mgf_radius_constant
+from graphonstat.limitlaw import (_CHUNK, _sigma_factor, centered_kernel, linear_profile,
+                                  mgf_radius_constant)
 
 
 class TestSpecConstruction:
@@ -89,12 +89,28 @@ class TestSampleLimit:
                          20_000, seed=23)[:, 0]
         assert stats.ks_2samp(a, b).statistic < 0.02
 
-    def test_projection_sampler_matches_joint(self, w_const_half):
-        spec = build_limit_spec([K2, K3], w_const_half, grid=256)
-        alpha = np.array([1.0, 1.0])
-        joint = sample_limit(spec, 20_000, seed=29) @ alpha
-        proj = sample_limit_projection(spec, alpha, 20_000, seed=31)
-        assert stats.ks_2samp(joint, proj).statistic < 0.02
+    @pytest.mark.parametrize("wname", ["paper-w2", "paper-w3"])
+    def test_spectral_columns_match_dense_forms(self, wname):
+        # Rebuild the draws from the same standard normals with the dense
+        # quadratic form z'(K/m)z - tr(K/m) and the linear form g'z/sqrt(m)
+        m, draws, seed = 256, 5000, 53
+        spec = build_limit_spec([K2, K3], graphon_by_name(wname), grid=m)
+        assert sorted(spec.regular) == [False, True]
+        got = sample_limit(spec, draws, seed)
+        eta_rng, g_rng = (np.random.default_rng(s)
+                          for s in np.random.SeedSequence(seed).spawn(2))
+        z = np.hstack([eta_rng.standard_normal((m, min(_CHUNK, draws - s)))
+                       for s in range(0, draws, _CHUNK)])
+        gauss = _sigma_factor(spec.sigma, 1) @ np.hstack(
+            [g_rng.standard_normal((1, min(_CHUNK, draws - s)))
+             for s in range(0, draws, _CHUNK)])
+        for j, (h, reg) in enumerate(zip(spec.motifs, spec.regular)):
+            if reg:
+                a = centered_kernel(h, spec.graphon, m) / m
+                want = np.einsum("xc,xc->c", z, a @ z) - np.trace(a) + gauss[0]
+            else:
+                want = linear_profile(h, spec.graphon, m) @ z / np.sqrt(m)
+            assert np.abs(got[:, j] - want).max() <= 1e-12 * got[:, j].std()
 
 
 class TestMarginalRegularLaw:
@@ -173,7 +189,7 @@ class TestLogMgfOracle:
         c = mgf_radius_constant(spec, alpha)
         theta = 1 / (64 * c)
         series = log_mgf_oracle(spec, alpha, theta)
-        draws = sample_limit_projection(spec, alpha, 400_000, seed=43)
+        draws = sample_limit(spec, 400_000, seed=43) @ alpha
         assert abs(series - empirical_log_mgf(draws, theta)) < 0.01
 
     def test_matches_empirical_mixed(self, w_two_community):
@@ -182,7 +198,7 @@ class TestLogMgfOracle:
         c = mgf_radius_constant(spec, alpha)
         theta = -1 / (64 * c)
         series = log_mgf_oracle(spec, alpha, theta)
-        draws = sample_limit_projection(spec, alpha, 400_000, seed=47)
+        draws = sample_limit(spec, 400_000, seed=47) @ alpha
         assert abs(series - empirical_log_mgf(draws, theta)) < 0.01
 
     def test_series_terms_use_kernel_paths(self, w_const_half):
