@@ -207,9 +207,8 @@ def _cmd_coverage_sim(args, config, t0):
     truth = [hom_density(h, w) for h in motifs]
     tasks = [(rep, args.seed, w, motifs, truth, args.n, args.B, args.alpha, args.mode)
              for rep in range(args.reps)]
-    workers = args.workers or (os.cpu_count() or 1)
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
+    if args.workers > 1:
+        with multiprocessing.Pool(args.workers) as pool:
             rows = pool.map(_coverage_rep, tasks)
     else:
         rows = [_coverage_rep(t) for t in tasks]
@@ -301,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--mode", choices=("joint", "marginal"), default="joint")
-    sp.add_argument("--workers", type=int, default=0,
-                    help="worker processes (default: machine parallelism)")
+    sp.add_argument("--workers", type=int, default=1,
+                    help="worker processes (default: 1, serial)")
     sp.add_argument("--out", required=True)
 
     return p

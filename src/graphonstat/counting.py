@@ -5,7 +5,9 @@ strategies back the public operations: closed forms for the workhorse motifs
 (edge, 2-star, triangle, 4-cycle, bowtie) built from degree sums and matrix
 powers, and, for every other motif, Moebius inversion over vertex partitions
 which turns injective counts into all-maps homomorphism counts evaluated by
-exact integer contraction (`_elim.contract`).
+exact integer contraction (`_elim.contract`).  Pinned motif vertices (the
+1- and 2-point densities) enter the canonical form as colours: each Aut(h)
+orbit of pins and each isomorphism class of quotients is contracted once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from ._elim import ExactSum, _as_dtype, _exact_dtype, _max_abs, contract
 from .graphon import BlockGraphon, KernelMatrix, empirical_block_graphon
-from .motifs import C4, K2, K3, K12, Motif, _canonical_form, vertex_join
+from .motifs import C4, K2, K3, K12, Motif, _canonical_form, _pin_orbits, vertex_join
 
 
 class GraphSizeError(ValueError):
@@ -172,12 +174,11 @@ def _quotient_edges(h: Motif, blocks):
     return sorted(edges), rep
 
 
-def _hom_count_graph(edges, k: int, g: Graph, pins: dict[int, str] | None = None):
+def _hom_count_graph(edges, k: int, g: Graph, pins: dict[int, str]):
     """All-maps homomorphism count by contraction; pins keep named output axes.
 
     The adjacency goes in as integers, so `contract` counts exactly at any n.
     """
-    pins = pins or {}
     domains = {pins.get(v, v): g.n for v in range(k)}
     factors = [((pins.get(u, u), pins.get(v, v)), g.adj) for u, v in edges]
     return contract(factors, domains, keep=tuple(pins.values()))
@@ -186,35 +187,29 @@ def _hom_count_graph(edges, k: int, g: Graph, pins: dict[int, str] | None = None
 def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
     """Injective homomorphism count via hom counts of vertex-identified quotients.
 
-    pins are motif vertices whose images stay free output axes.  Partitions
-    merging two pinned vertices contribute only on the diagonal of the output,
-    which the callers zero by convention, so they are skipped.  Totals are
-    exact: Python ints, or int64 arrays that turn into Python ints before
-    their bound reaches 2^63.
+    pins are motif vertices whose images stay free output axes (a 0-d array
+    when there are none).  Partitions merging two pinned vertices contribute
+    only on the diagonal of the output, which the callers zero by convention,
+    so they are skipped.  Quotients are grouped by their canonical key with
+    each pinned block coloured by its axis, so each class's hom count runs
+    once, times the class's summed Moebius weight.  Totals are exact: int64
+    arrays that turn into Python ints before their bound reaches 2^63.
     """
-    if len(pins) == 0:
-        # Group partitions by the quotient's canonical key so each hom count
-        # runs once; the class's summed Moebius weight multiplies it.
-        classes: dict = {}
-        for blocks in _set_partitions(tuple(range(1, h.k + 1))):
-            edges, _ = _quotient_edges(h, blocks)
-            if edges is None:
-                continue
-            key = _canonical_form(len(blocks), tuple(((u + 1, v + 1), 1) for u, v in edges))[0]
-            classes.setdefault(key, [edges, len(blocks), 0])[2] += _mobius(blocks)
-        return sum(mu * int(_hom_count_graph(edges, k, g))
-                   for edges, k, mu in classes.values() if mu)
-    total = ExactSum((g.n,) * len(pins))
+    classes: dict = {}
     for blocks in _set_partitions(tuple(range(1, h.k + 1))):
-        if any(sum(1 for p in pins if p in b) > 1 for b in blocks):
-            continue
         edges, rep = _quotient_edges(h, blocks)
-        if edges is None:
-            continue
         pin_axes = {rep[p]: f"pin{i}" for i, p in enumerate(pins)}
-        val = _hom_count_graph(edges, len(blocks), g, pins=pin_axes)
-        # 0/1 adjacency: at most n choices for each unpinned block
-        total.add(val, g.n ** (len(blocks) - len(pins)), weight=_mobius(blocks))
+        if edges is None or len(pin_axes) < len(pins):
+            continue
+        colours = tuple(pin_axes.get(b, "") for b in range(len(blocks)))
+        key = _canonical_form(len(blocks), tuple(((u + 1, v + 1), 1) for u, v in edges), colours)[0]
+        classes.setdefault(key, [edges, len(blocks), pin_axes, 0])[3] += _mobius(blocks)
+    total = ExactSum((g.n,) * len(pins))
+    for edges, k, pin_axes, mu in classes.values():
+        if mu:
+            # 0/1 adjacency: at most n choices for each unpinned block
+            total.add(_hom_count_graph(edges, k, g, pins=pin_axes), g.n ** (k - len(pins)),
+                      weight=mu)
     return total.value
 
 
@@ -316,7 +311,7 @@ def injective_hom_count(h: Motif, g: Graph) -> int:
     form = _CLOSED_FORMS.get(h.canonical_key())
     if form is not None:
         return _closed_injective_total(form[0], g)
-    return _mobius_injective(h, g)
+    return int(_mobius_injective(h, g))
 
 
 def count_copies(h: Motif, g: Graph) -> int:
@@ -362,8 +357,9 @@ def one_point_density(h: Motif, g: Graph) -> OnePointDensity:
         canon_vertex = {label: v + 1 for v, label in enumerate(canon._form()[1])}
         x_a = np.vstack([rows_canon[canon_vertex[label] - 1] for label in h._form()[1]])
     else:
-        x_a = np.vstack([np.asarray(_mobius_injective(h, g, pins=(a,)), dtype=float)
-                         for a in range(1, h.k + 1)])
+        x_a = np.empty((h.k, g.n))
+        for orbit in _pin_orbits(h, 1):       # automorphic pins give equal rows
+            x_a[[a - 1 for (a,) in orbit]] = _mobius_injective(h, g, pins=orbit[0])
     t_hat = x_a.sum(axis=0) / (h.aut * float(g.n) ** (h.k - 1))
     return OnePointDensity(h, t_hat, x_a)
 
@@ -381,10 +377,11 @@ def two_point_matrix(h: Motif, g: Graph) -> KernelMatrix:
         total = _closed_two_point(form[0], g)
     else:
         total = np.zeros((g.n, g.n))
-        for a in range(1, h.k + 1):
-            for b in range(a + 1, h.k + 1):
-                x = np.asarray(_mobius_injective(h, g, pins=(a, b)), dtype=float)
-                total += x + x.T          # X_{b,a}(u,v) = X_{a,b}(v,u)
+        for orbit in _pin_orbits(h, 2):
+            # an automorphism maps (a, b) onto (c, d) or (d, c), and
+            # X_{b,a}(u,v) = X_{a,b}(v,u): each member adds x + x.T
+            x = np.asarray(_mobius_injective(h, g, pins=orbit[0]), dtype=float)
+            total += len(orbit) * (x + x.T)
         np.fill_diagonal(total, 0.0)
     vals = total / (2 * h.aut * float(g.n) ** (h.k - 2))
     return KernelMatrix(vals, h, kind="empirical")

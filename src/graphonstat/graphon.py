@@ -21,7 +21,7 @@ import numpy as np
 
 from ._elim import contract
 from .motifs import Motif, MultiMotif, as_multimotif, vertex_join, edge_join, \
-    MotifSizeError
+    MotifSizeError, _pin_orbits
 
 QUAD_CELLS = 16
 QUAD_DEGREE = 4
@@ -44,11 +44,6 @@ class Graphon:
     def quad(self):
         """(nodes, weights) with sum(w_i f(x_i)) approximating integral of f."""
         raise NotImplementedError
-
-    @property
-    def exact(self) -> bool:
-        """True when the quadrature rule integrates this kernel exactly."""
-        return False
 
     def __call__(self, x, y):
         return self.eval(x, y)
@@ -79,10 +74,6 @@ class BlockGraphon(Graphon):
     @property
     def n_blocks(self) -> int:
         return len(self.sizes)
-
-    @property
-    def exact(self) -> bool:
-        return True
 
     def block_of(self, x):
         """Block index of x in [0,1] with the ceiling convention of step graphons."""
@@ -200,15 +191,15 @@ def _hom_sum(mm: MultiMotif, w: Graphon, nodes, weights, pins=None):
     return out if keep else float(out)
 
 
-def hom_density(f: Motif | MultiMotif, w: Graphon, check: bool = True) -> float:
+def hom_density(f: Motif | MultiMotif, w: Graphon) -> float:
     """Homomorphism density t(f, w); multigraph edges multiply repeated kernels.
 
     Block graphons are summed exactly; expression graphons are integrated by
     composite Gauss-Legendre quadrature with a cell-doubling convergence check
-    (relative change below 1e-6), which `check=False` disables.
+    (relative change below 1e-6).
     """
     mm = as_multimotif(f)
-    if isinstance(w, ExpressionGraphon) and check:
+    if isinstance(w, ExpressionGraphon):
         cells = w.cells
         prev = _hom_sum(mm, w, *w.with_cells(cells).quad())
         while True:
@@ -243,8 +234,8 @@ def tbar_1pt(h: Motif | MultiMotif, x, w: Graphon):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     total = np.zeros(len(xs))
     nodes, weights = w.quad()
-    for a in range(1, mm.k + 1):
-        total += _hom_sum(mm, w, nodes, weights, pins={a: xs})
+    for orbit in _pin_orbits(mm, 1):        # automorphic vertices give equal t_a
+        total += len(orbit) * _hom_sum(mm, w, nodes, weights, pins=dict.fromkeys(orbit[0], xs))
     total /= mm.k
     return total[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else total
 
@@ -289,10 +280,11 @@ def conditional_kernel_2pt(h: Motif, w: Graphon, grid: int = 64) -> KernelMatrix
     g = (np.arange(grid) + 0.5) / grid
     nodes, weights = w.quad()
     total = np.zeros((grid, grid))
-    for a in range(1, mm.k + 1):
-        for b in range(a + 1, mm.k + 1):
-            tab = _hom_sum(mm, w, nodes, weights, pins={a: g, b: g})
-            total += tab + tab.T          # t_{b,a}(x,y) = t_{a,b}(y,x)
+    for orbit in _pin_orbits(mm, 2):
+        # an automorphism maps the first pair onto each member, in one order or
+        # the other, and t_{b,a}(x,y) = t_{a,b}(y,x): each adds tab + tab.T
+        tab = _hom_sum(mm, w, nodes, weights, pins=dict.fromkeys(orbit[0], g))
+        total += len(orbit) * (tab + tab.T)
     vals = total / (2 * h.aut)
     vals = (vals + vals.T) / 2
     return KernelMatrix(vals, h, kind="graphon")

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import (CovMatrix, Graphon, _join_density_cached, conditional_1pt,
-                      conditional_kernel_2pt, degree_constant, gamma_matrix,
-                      hom_density, kernel_bound, regularity_R_graphon, sigma_matrix)
+from .graphon import (CovMatrix, Graphon, _join_density_cached, conditional_kernel_2pt,
+                      degree_constant, gamma_matrix, hom_density, kernel_bound,
+                      regularity_R_graphon, sigma_matrix, tbar_1pt)
 from .motifs import Motif, edge_join
 
 DEFAULT_SAMPLE_GRID = 512
@@ -87,10 +87,7 @@ def linear_profile(h: Motif, w: Graphon, grid: int) -> np.ndarray:
     the Gaussian limit variance of the scaled centered count.
     """
     x = (np.arange(grid) + 0.5) / grid
-    total = np.zeros(grid)
-    for a in range(1, h.k + 1):
-        total += conditional_1pt(h, a, x, w)
-    return total / h.aut - (h.k / h.aut) * hom_density(h, w)
+    return h.k * (tbar_1pt(h, x, w) - hom_density(h, w)) / h.aut
 
 
 def centered_kernel(h: Motif, w: Graphon, grid: int) -> np.ndarray:

@@ -169,14 +169,15 @@ def as_multimotif(h: Motif | MultiMotif) -> MultiMotif:
 
 
 @lru_cache(maxsize=1 << 16)
-def _canonical_form(k: int, edges: tuple[tuple[Edge, int], ...]):
+def _canonical_form(k: int, edges: tuple[tuple[Edge, int], ...], colours=None):
     """(key, labelling, aut) of a loopless multigraph on {1..k}.
 
-    edges: sorted ((u, v), multiplicity) pairs with u < v.  key is the
-    lexicographically smallest relabelled edge list over the leaves of the
-    search below, so two graphs share a key exactly when they are isomorphic;
-    labelling[v - 1] is the label of vertex v in a relabelling that gives the
-    key; aut is |Aut|.
+    edges: sorted ((u, v), multiplicity) pairs with u < v; colours, if given,
+    colours[v - 1] for vertex v, must be preserved.  key is (k, the smallest
+    relabelled edge list over the leaves of the search below), plus the sorted
+    colours if given, so two graphs share a key exactly when they are
+    isomorphic; labelling[v - 1] is the label of vertex v in a relabelling that
+    gives the key; aut counts the (colour-preserving) automorphisms.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism, II", 2014): colour refinement splits every cell of an ordered
@@ -189,9 +190,10 @@ def _canonical_form(k: int, edges: tuple[tuple[Edge, int], ...]):
     same relabelled graph give an automorphism; the search skips a vertex in
     the orbit of one already tried under the automorphisms found that keep
     the node's cells, and leaves the subtree where the automorphism was found
-    (the part already searched maps onto it).  By orbit-stabilizer, aut is the
-    product over the first path of the twin factors and of the orbit sizes of
-    the vertices it individualizes.  A search past K_MAX! leaves raises
+    (the part already searched maps onto it); the first cells are the colour
+    classes in sorted order.  By orbit-stabilizer, aut is the product over the
+    first path of the twin factors and of the orbit sizes of the vertices it
+    individualizes.  A search past K_MAX! leaves raises
     MotifSizeError; graphs with at most K_MAX vertices never reach it.
     """
     adj = [[0] * k for _ in range(k)]
@@ -285,13 +287,26 @@ def _canonical_form(k: int, edges: tuple[tuple[Edge, int], ...]):
                 return back
         return None
 
-    search(refine([list(range(k))]), ())
+    palette = colours or (0,) * k
+    search(refine([[v for v in range(k) if palette[v] == c] for c in sorted(set(palette))]), ())
     aut = twin_factor
     for cells, v in first_path:
         orbit = orbits(cells)
         aut *= orbit.count(orbit[v])
     key, labelling, _ = best
-    return (k, key), tuple(labelling), aut
+    key = (k, key) if colours is None else (k, key, tuple(sorted(colours)))
+    return key, tuple(labelling), aut
+
+
+def _pin_orbits(h: Motif | MultiMotif, size: int) -> list[list[tuple[int, ...]]]:
+    """Aut(h) orbits on sorted vertex tuples of length size (1 or 2), as sorted
+    lists in sorted order, read from the keys of h with the tuple coloured."""
+    mm = as_multimotif(h)
+    orbits: dict = {}
+    for pins in itertools.combinations(range(1, mm.k + 1), size):
+        colours = tuple(int(v in pins) for v in range(1, mm.k + 1))
+        orbits.setdefault(_canonical_form(mm.k, mm.edges, colours)[0], []).append(pins)
+    return list(orbits.values())
 
 
 def automorphism_count(m: Motif) -> int:

@@ -17,13 +17,19 @@ import numpy as np
 from graphonstat import Graph, Motif
 
 
-def canonical_multigraph_key(k: int, edges: tuple) -> tuple:
-    """Smallest relabeled ((u, v), multiplicity) list over all k! relabelings;
-    tiny graphs only."""
+def canonical_multigraph_key(k: int, edges: tuple, colours: tuple | None = None) -> tuple:
+    """Smallest relabeled ((u, v), multiplicity) list over all k! relabelings,
+    paired with the relabeled colour vector (colours[v - 1] is the colour of
+    vertex v) when colours are given; tiny graphs only."""
     best = None
     for p in itertools.permutations(range(1, k + 1)):
         cand = tuple(sorted(((p[u - 1], p[v - 1]) if p[u - 1] < p[v - 1]
                              else (p[v - 1], p[u - 1]), m) for (u, v), m in edges))
+        if colours is not None:
+            recoloured = [None] * k
+            for v, c in enumerate(colours, 1):
+                recoloured[p[v - 1] - 1] = c
+            cand = (tuple(recoloured), cand)
         if best is None or cand < best:
             best = cand
     return (k, best)
@@ -32,6 +38,20 @@ def canonical_multigraph_key(k: int, edges: tuple) -> tuple:
 def canonical_edge_key(k: int, edges: tuple) -> tuple:
     """`canonical_multigraph_key` of a simple graph given as (u, v) pairs."""
     return canonical_multigraph_key(k, tuple((e, 1) for e in edges))
+
+
+def brute_pin_orbits(h: Motif, size: int) -> list[list[tuple[int, ...]]]:
+    """Orbits of sorted vertex tuples of length size under every edge-preserving
+    vertex permutation of h; members sorted, orbits by first member."""
+    auts = [p for p in itertools.permutations(range(1, h.k + 1))
+            if all(tuple(sorted((p[u - 1], p[v - 1]))) in h.edges for u, v in h.edges)]
+    orbits, seen = [], set()
+    for pins in itertools.combinations(range(1, h.k + 1), size):
+        if pins not in seen:
+            orbit = sorted({tuple(sorted(p[v - 1] for v in pins)) for p in auts})
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
 
 
 def subset_copy_census(g: Graph, max_k: int = 4) -> Counter:

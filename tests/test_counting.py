@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from graphonstat import (K2, K3, C4, K12, Graph, GraphSizeError, Motif, clique,
-                         constant_graphon, count_copies, density_hat_t,
+                         constant_graphon, cycle, count_copies, density_hat_t,
                          empirical_graphon, graphon_by_name, hom_density,
                          injective_hom_count, one_point_density, parse_edge_list,
                          path, regularity_R_empirical, regularity_test, sample_graph,
                          star, two_point_matrix)
+import graphonstat.counting as counting
+from graphonstat._elim import contract
 from graphonstat.counting import (_BOWTIE, _mobius_injective, edge_list_lines,
                                   falling_factorial, load_edge_list)
 from graphonstat.motifs import vertex_join
@@ -148,13 +150,16 @@ class TestOnePoint:
             expected = h.k * count_copies(h, g) / g.n ** h.k
             assert op.t_hat.mean() == pytest.approx(expected, abs=1e-12)
 
-    def test_general_motif_matches_backtracking(self):
+    @pytest.mark.parametrize("h", [vertex_join(K2, 1, K3, 1), path(4), star(3), cycle(5)],
+                             ids=["pan", "p4", "s3", "c5"])
+    def test_general_motif_matches_backtracking(self, h):
+        # no closed form registered: one Moebius sum per Aut(h) vertex orbit,
+        # copied to every member
         g = random_graph(12, 0.5, seed=19)
-        pan = vertex_join(K2, 1, K3, 1)       # no closed form registered
-        op = one_point_density(pan, g)
-        for a in (1, 3):
+        op = one_point_density(h, g)
+        for a in range(1, h.k + 1):
             for v in (0, 5, 11):
-                assert op.x_a[a - 1, v] == _backtrack_count(pan, g, {a: v})
+                assert op.x_a[a - 1, v] == _backtrack_count(h, g, {a: v})
 
 
 class TestTwoPoint:
@@ -210,6 +215,25 @@ class TestTwoPoint:
             assert want.any()
             np.testing.assert_allclose(two_point_matrix(h, g).values, want,
                                        rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("op,h,most", [(two_point_matrix, path(4), 17),
+                                        (one_point_density, path(4), 10),
+                                        (two_point_matrix, cycle(5), 13),
+                                        (one_point_density, cycle(5), 5),
+                                        (two_point_matrix, star(3), 5)],
+                         ids=["2pt-p4", "1pt-p4", "2pt-c5", "1pt-c5", "2pt-s3"])
+def test_moebius_contracts_each_orbit_and_class_once(op, h, most, monkeypatch):
+    # one contraction per pin orbit and quotient class with the pins coloured
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "contract", counted)
+    op(h, random_graph(12, 0.5, seed=53))
+    assert 0 < len(calls) <= most
 
 
 class TestEmpiricalGraphon:

@@ -104,7 +104,7 @@ class TestHomDensity:
                                 | ((np.asarray(x) >= 0.5) & (np.asarray(y) < 0.5))),
             name="bipartite-expr")
         for h in (K2, K3, C4, K12):
-            assert hom_density(h, expr, check=False) == pytest.approx(
+            assert hom_density(h, expr) == pytest.approx(
                 hom_density(h, w_bipartite_half), abs=1e-8)
 
     def test_quadrature_convergence_error_for_misaligned_step(self):

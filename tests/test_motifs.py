@@ -10,14 +10,15 @@ from graphonstat import (K2, K3, C4, K12, Motif, MultiMotif, MotifSizeError,
                          is_isomorphic, parse_motif, path, star, vertex_join)
 import graphonstat.motifs as motif_module
 
-from oracles import all_motifs_up_to, canonical_multigraph_key
+from oracles import all_motifs_up_to, brute_pin_orbits, canonical_multigraph_key
 
 
-def brute_aut(m: Motif) -> int:
+def brute_aut(m: Motif, colours=None) -> int:
     count = 0
     for p in itertools.permutations(range(1, m.k + 1)):
         perm = dict(zip(range(1, m.k + 1), p))
-        if all(tuple(sorted((perm[u], perm[v]))) in m.edges for u, v in m.edges):
+        if all(tuple(sorted((perm[u], perm[v]))) in m.edges for u, v in m.edges) and \
+                (colours is None or all(colours[perm[v] - 1] == colours[v - 1] for v in perm)):
             count += 1
     return count
 
@@ -89,6 +90,33 @@ class TestCanonicalForm:
             assert (relabelled.k, tuple((e, 1) for e in sorted(relabelled.edges))) == \
                 other.canonical_key()
         assert len(keys) == len(motifs)
+
+    @pytest.mark.parametrize("size", [1, 2], ids=["vertex", "pair"])
+    def test_pinned_keys_and_orbits_up_to_five_vertices(self, size):
+        # pins coloured 1, 2, ...: keys split (motif, pins) the way a
+        # colour-preserving brute force does, under a random relabeling; aut
+        # counts colour-preserving automorphisms; _pin_orbits matches brute force
+        rng = random.Random(1)
+        ours, brute = {}, {}
+        for m in all_motifs_up_to(5):
+            assert motif_module._pin_orbits(m, size) == brute_pin_orbits(m, size)
+            for pins in itertools.combinations(range(1, m.k + 1), size):
+                perm = random_relabel(m, rng)
+                other = m.relabel(perm)
+                colours = [0] * m.k
+                for i, p in enumerate(pins, 1):
+                    colours[perm[p] - 1] = i
+                edges = tuple((e, 1) for e in sorted(other.edges))
+                key, labelling, aut = motif_module._canonical_form(m.k, edges, tuple(colours))
+                assert aut == brute_aut(other, colours)
+                # the labelling maps the coloured graph onto the key
+                relabel = {v: labelling[v - 1] for v in range(1, m.k + 1)}
+                assert tuple((e, 1) for e in sorted(other.relabel(relabel).edges)) == key[1]
+                assert key[2] == tuple(colours[labelling.index(pos)] for pos in range(1, m.k + 1))
+                ours.setdefault(key, set()).add((m, pins))
+                brute.setdefault(canonical_multigraph_key(m.k, edges, tuple(colours)),
+                                 set()).add((m, pins))
+        assert set(map(frozenset, ours.values())) == set(map(frozenset, brute.values()))
 
     def test_multimotif_keys_match_brute_force_isomorphism(self):
         base = [K2, K12, K3, C4, path(4)]
