@@ -61,6 +61,8 @@ def _version_string() -> str:
 
 
 def _fmt(x) -> str:
+    if type(x) is float:                # most cells; bool and int are not float
+        return f"{x:.17g}"
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -73,8 +75,9 @@ def write_csv(path: str, config: dict, header: list[str], rows,
     lines = [f"# config: {json.dumps(config, sort_keys=True)}",
              f"# version: {version_string()}",
              ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()            # Python scalars format without numpy dispatch
+    lines.extend(",".join([_fmt(x) for x in row]) for row in rows)
     for c in footer_comments or []:
         lines.append(f"# {c}")
     text = "\n".join(lines) + "\n"
@@ -182,7 +185,9 @@ def _cmd_structure(args, config, t0):
 
 
 def _coverage_rep(task):
-    """One coverage replication; module-level so worker pools can pickle it."""
+    """One coverage replication: its CSV row and the branch tuple it chose.
+
+    Module-level so worker pools can pickle it."""
     (rep, seed_entropy, w, motifs, truth, n, B, alpha, mode) = task
     root = np.random.SeedSequence(entropy=seed_entropy, spawn_key=(rep,))
     graph_seed, boot_seed = root.spawn(2)
@@ -191,12 +196,12 @@ def _coverage_rep(task):
         ci = marginal_ci(g, motifs[0], alpha, B, seed=boot_seed)
         inside = ci.contains(truth[0])
         return [rep, inside, ci.lower, ci.upper,
-                1 if ci.branch == "irregular" else 0]
+                1 if ci.branch == "irregular" else 0], ci.branch
     report = joint_confidence_set(g, motifs, alpha, B, seed=boot_seed)
     inside = report.contains(truth)
     row = [rep, inside, report.quantile]
     row.extend(report.regularity_stats.tolist())
-    return row
+    return row, ",".join(report.branches)
 
 
 def _cmd_coverage_sim(args, config, t0):
@@ -209,10 +214,11 @@ def _cmd_coverage_sim(args, config, t0):
              for rep in range(args.reps)]
     if args.workers > 1:
         with multiprocessing.Pool(args.workers) as pool:
-            rows = pool.map(_coverage_rep, tasks)
+            results = pool.map(_coverage_rep, tasks)
     else:
-        rows = [_coverage_rep(t) for t in tasks]
-    rows.sort(key=lambda r: r[0])
+        results = [_coverage_rep(t) for t in tasks]
+    results.sort(key=lambda r: r[0][0])
+    rows = [row for row, _ in results]
     if args.mode == "marginal":
         header = ["rep", "inside", "lower", "upper", "irregular_branch"]
     else:
@@ -221,7 +227,13 @@ def _cmd_coverage_sim(args, config, t0):
     coverage = float(np.mean([r[1] for r in rows]))
     write_csv(args.out, config, header, rows,
               footer_comments=[f"coverage={coverage:.17g}"])
-    return _summary(config, t0, coverage=coverage, reps=args.reps, out=args.out)
+    inside_by_branch: dict[str, list] = {}
+    for row, branch in results:
+        inside_by_branch.setdefault(branch, []).append(row[1])
+    by_branch = {b: {"reps": len(v), "coverage": float(np.mean(v))}
+                 for b, v in inside_by_branch.items()}
+    return _summary(config, t0, coverage=coverage, coverage_by_branch=by_branch,
+                    reps=args.reps, out=args.out)
 
 
 # -- parser ----------------------------------------------------------------------

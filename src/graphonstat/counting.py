@@ -19,7 +19,8 @@ import numpy as np
 
 from ._elim import ExactSum, _as_dtype, _exact_dtype, _max_abs, contract
 from .graphon import BlockGraphon, KernelMatrix, empirical_block_graphon
-from .motifs import C4, K2, K3, K12, Motif, _canonical_form, _pin_orbits, vertex_join
+from .motifs import (C4, K2, K3, K12, Motif, MotifSizeError, _canonical_form, _pin_orbits,
+                     vertex_join)
 
 
 class GraphSizeError(ValueError):
@@ -139,6 +140,22 @@ def empirical_graphon(g: Graph) -> BlockGraphon:
 
 # -- Moebius inversion over vertex partitions ----------------------------------
 
+def _bell(k: int) -> int:
+    """Number of set partitions of k items (Bell triangle)."""
+    row = [1]
+    for _ in range(k - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+# Partitions `_mobius_injective` may enumerate: Bell(12) = 4,213,597, so the
+# 11-vertex joins of 6-vertex motifs still count; larger motifs raise.
+_PARTITION_CAP = _bell(12)
+
+
 def _set_partitions(items: tuple[int, ...]):
     """All set partitions of items, as lists of tuples."""
     if not items:
@@ -193,8 +210,14 @@ def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
     so they are skipped.  Quotients are grouped by their canonical key with
     each pinned block coloured by its axis, so each class's hom count runs
     once, times the class's summed Moebius weight.  Totals are exact: int64
-    arrays that turn into Python ints before their bound reaches 2^63.
+    arrays that turn into Python ints before their bound reaches 2^63.  A
+    motif with more than _PARTITION_CAP partitions raises MotifSizeError
+    before any is enumerated.
     """
+    partitions = _bell(h.k)
+    if partitions > _PARTITION_CAP:
+        raise MotifSizeError(f"Moebius inversion of a {h.k}-vertex motif needs {partitions} "
+                             f"vertex partitions, cap is {_PARTITION_CAP}")
     classes: dict = {}
     for blocks in _set_partitions(tuple(range(1, h.k + 1))):
         edges, rep = _quotient_edges(h, blocks)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .bootstrap import empirical_quantile, multiplier_draws, quadratic_spectral_draws
 from .counting import (Graph, count_copies, density_hat_t, falling_factorial,
@@ -182,7 +182,7 @@ def marginal_ci(g: Graph, h: Motif, alpha: float, B: int, seed,
     if test.reject_regularity:
         v = one_point_density(h, g).t_hat
         tau_hat = float(np.sqrt(np.mean((v - v.mean()) ** 2)))
-        z = stats.norm.ppf(1 - alpha / 2)
+        z = NormalDist().inv_cdf(1 - alpha / 2)
         half = z * h.aut * tau_hat / math.sqrt(n)
         return ConfidenceInterval(h, alpha, t_hat - half, t_hat + half, t_hat,
                                   "irregular", test.statistic)
@@ -241,7 +241,7 @@ def structure_test(g: Graph, alpha: float) -> StructureTestResult:
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     s = structure_stat(g)
-    z_crit = float(stats.norm.ppf(1 - alpha / 2))
+    z_crit = NormalDist().inv_cdf(1 - alpha / 2)
     return StructureTestResult(s.f_hat, s.t_n, z_crit, abs(s.t_n) > z_crit, g.n)
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import graphonstat
+from graphonstat import cli
 from graphonstat.cli import main
 from graphonstat.counting import load_edge_list
 
@@ -69,6 +75,14 @@ class TestExitCodes:
                            "--motif", "gnarl")
         assert code == 4
 
+    def test_regtest_on_eight_vertex_motif_raises_at_once(self, graph_file, capsys):
+        # the 15-vertex joins of C8 have Bell(15) ~ 1.4e9 vertex partitions
+        t = time.perf_counter()
+        code, _, err = run(capsys, "regtest", "--graph", graph_file, "--motif", "c8")
+        assert time.perf_counter() - t < 1.0
+        assert code == 4
+        assert "partitions" in err
+
 
 class TestStatCommands:
     def test_regtest(self, graph_file, capsys):
@@ -121,6 +135,39 @@ class TestStatCommands:
         assert len(rows) == 41
 
 
+class TestCsvWriter:
+    def test_bytes_of_mixed_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "version_string", lambda: "V")
+        nan, inf = float("nan"), float("inf")
+        path = str(tmp_path / "mixed.csv")
+        mixed = [[True, np.bool_(False), 7, np.int64(-3), 0.1, np.float64(2 / 3),
+                  nan, inf, -0.0, 1e-300],
+                 [False, np.bool_(True), 0, np.int64(2 ** 62), -1.5, np.float64(-0.0),
+                  np.float64(nan), -inf, np.float64(1e-300), 123456789.125]]
+        cli.write_csv(path, {"a": 1}, list("abcdefghij"), mixed, footer_comments=["x=1"])
+        assert open(path, "rb").read() == (
+            b'# config: {"a": 1}\n# version: V\na,b,c,d,e,f,g,h,i,j\n'
+            b"1,0,7,-3,0.10000000000000001,0.66666666666666663,nan,inf,-0,1e-300\n"
+            b"0,1,0,4611686018427387904,-1.5,-0,nan,-inf,1e-300,123456789.125\n# x=1\n")
+        arrays = [(np.array([[0.1, -0.0, nan], [inf, -inf, 1e-300]]),
+                   b"0.10000000000000001,-0,nan\ninf,-inf,1e-300\n"),
+                  (np.array([[1, -2, 3]], dtype=np.int64), b"1,-2,3\n"),
+                  (np.array([[True, False, True]]), b"1,0,1\n")]
+        for rows, body in arrays:
+            cli.write_csv(path, {}, ["p", "q", "r"], rows)
+            assert open(path, "rb").read() == b"# config: {}\n# version: V\np,q,r\n" + body
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphonstat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; import graphonstat.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 class TestCoverageSim:
     def test_joint_run_and_consistency(self, tmp_path, capsys):
         out_path = str(tmp_path / "cov.csv")
@@ -137,6 +184,30 @@ class TestCoverageSim:
         footer = [l for l in lines if l.startswith("# coverage=")]
         assert len(footer) == 1
         assert float(footer[0].split("=")[1]) == pytest.approx(np.mean(flags))
+
+    def test_coverage_by_branch_splits_the_replications(self, tmp_path, capsys):
+        out_path = str(tmp_path / "cov.csv")
+        code, out, _ = run(capsys, "coverage-sim", "--graphon", "paper-w1",
+                           "--motifs", "k2,k3", "--n", "40", "--B", "50",
+                           "--reps", "12", "--seed", "7", "--out", out_path)
+        assert code == 0
+        summary = json.loads(out)
+        split = summary["coverage_by_branch"]
+        assert len(split) > 1
+        assert sum(c["reps"] for c in split.values()) == summary["reps"]
+        assert sum(c["reps"] * c["coverage"] for c in split.values()) / summary["reps"] \
+            == pytest.approx(summary["coverage"], rel=1e-12)
+        # the branch tuple follows from the reg_stat_* columns (threshold 1)
+        lines = open(out_path).read().splitlines()
+        rows = [l.split(",") for l in lines if l and not l.startswith("#")][1:]
+        expected: dict = {}
+        for r in rows:
+            key = ",".join("linear" if float(s) > 1 else "quadratic" for s in r[3:])
+            expected.setdefault(key, []).append(int(r[1]))
+        assert {k: c["reps"] for k, c in split.items()} == \
+            {k: len(v) for k, v in expected.items()}
+        assert {k: c["coverage"] for k, c in split.items()} == \
+            pytest.approx({k: np.mean(v) for k, v in expected.items()})
 
     def test_byte_identical_given_seed(self, tmp_path, capsys):
         p = str(tmp_path / "cov.csv")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import graphonstat.counting as counting
 from graphonstat._elim import contract
 from graphonstat.counting import (_BOWTIE, _mobius_injective, edge_list_lines,
                                   falling_factorial, load_edge_list)
-from graphonstat.motifs import vertex_join
+from graphonstat.motifs import MotifSizeError, parse_motif, vertex_join
 
 from conftest import random_graph
 from oracles import _backtrack_count, all_motifs_up_to, oracle_copies, \
@@ -279,6 +280,19 @@ class TestRegularityStatistic:
         expected = sum(density_hat_t(j, g) for j in joins) \
             - 4 * density_hat_t(K2, g) ** 2
         assert regularity_R_empirical(K2, g) == pytest.approx(expected, rel=1e-10)
+
+    def test_c5_value_under_partition_cap(self):
+        # the value computed before the partition cap existed, bit for bit
+        g = sample_graph(graphon_by_name("paper-w1"), 14, seed=3)
+        assert regularity_R_empirical(parse_motif("c5"), g) == -0.0011022850683190346
+
+    @pytest.mark.parametrize("name", ["c7", "p7", "c8", "k8"])
+    def test_joins_past_partition_cap_raise_at_once(self, name):
+        g = sample_graph(graphon_by_name("paper-w1"), 20, seed=1)
+        t = time.perf_counter()
+        with pytest.raises(MotifSizeError, match="partitions"):
+            regularity_R_empirical(parse_motif(name), g)
+        assert time.perf_counter() - t < 1.0
 
     def test_sqrt_n_statistic_separates_at_400(self):
         # Monte Carlo of the raw sqrt(n) R indicator for a strongly irregular

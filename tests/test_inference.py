@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,12 @@ class TestMarginalCI:
         tau = np.sqrt(np.mean((v - v.mean()) ** 2))
         half = stats.norm.ppf(0.975) * K2.aut * tau / np.sqrt(g.n)
         assert ci.upper - ci.lower == pytest.approx(2 * half, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.2, 0.5])
+    def test_stdlib_normal_quantile_matches_scipy(self, alpha):
+        from scipy import stats
+        assert NormalDist().inv_cdf(1 - alpha / 2) == \
+            pytest.approx(stats.norm.ppf(1 - alpha / 2), rel=2e-15)
 
     def test_regular_branch_uses_spectral_draws(self, w_bipartite_half):
         g = sample_graph(w_bipartite_half, 300, seed=35)
