@@ -89,6 +89,9 @@ def write_csv(path: str, config: dict, header: list[str], rows,
 
 
 def _summary(config: dict, t0: float, **extra) -> dict:
+    """JSON summary of a command.  `wall_time_s` is measured from the first line
+    of `main`, so it covers argument parsing and the command but not
+    interpreter start-up or imports."""
     out = {"config": config, "version": version_string(),
            "wall_time_s": round(time.time() - t0, 3)}
     out.update(extra)
@@ -320,10 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    t0 = time.time()
     parser = build_parser()
     args = parser.parse_args(argv)
     config = {k: v for k, v in vars(args).items() if k not in ("fn",)}
-    t0 = time.time()
     try:
         summary = args.fn(args, config, t0)
     except (OSError, json.JSONDecodeError) as exc:

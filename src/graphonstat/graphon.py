@@ -5,6 +5,9 @@ concrete forms are supported: step functions (BlockGraphon, evaluated by
 exact summation over block assignments) and smooth expressions
 (ExpressionGraphon, integrated by composite Gauss-Legendre quadrature).
 Empirical graphons of observed graphs are BlockGraphons with n equal blocks.
+Every graphon integral, plain or with pinned vertices, goes through one
+path, `_integrate`, which sums a BlockGraphon exactly and checks the
+quadrature of any other graphon by cell doubling, or raises.
 
 On top of plain densities t(F,W) this module provides the pinned-vertex
 conditional densities, the 2-point conditional kernel, the regularity
@@ -34,15 +37,11 @@ class QuadratureError(RuntimeError):
 
 
 class Graphon:
-    """Base class; subclasses supply pointwise evaluation and a quadrature rule."""
+    """Base class; subclasses supply pointwise evaluation."""
 
     name: str = "graphon"
 
     def eval(self, x, y):
-        raise NotImplementedError
-
-    def quad(self):
-        """(nodes, weights) with sum(w_i f(x_i)) approximating integral of f."""
         raise NotImplementedError
 
     def __call__(self, x, y):
@@ -85,27 +84,13 @@ class BlockGraphon(Graphon):
         bj = self.block_of(y)
         return self.values[bi, bj]
 
-    def quad(self):
-        mids = self.cum - self.sizes / 2
-        return mids, self.sizes.copy()
-
 
 class ExpressionGraphon(Graphon):
-    """Graphon given by a vectorized expression W(x,y).
+    """Graphon given by a vectorized expression W(x,y), integrated by `_integrate`."""
 
-    Integrals use composite Gauss-Legendre quadrature: `cells` equal cells per
-    axis with `degree` nodes each (default 16*4 = 64 points per axis), exact
-    for polynomials up to degree 2*degree-1 within each cell.
-    """
-
-    def __init__(self, fn, name: str | None = None, cells: int = QUAD_CELLS,
-                 degree: int = QUAD_DEGREE):
+    def __init__(self, fn, name: str | None = None):
         self.fn = fn
         self.name = name or getattr(fn, "__name__", "expression")
-        self.cells = int(cells)
-        self.degree = int(degree)
-        if self.cells < 1 or self.degree < 1:
-            raise ValueError("cells and degree must be positive")
         self._spot_check()
 
     def _spot_check(self):
@@ -121,20 +106,6 @@ class ExpressionGraphon(Graphon):
 
     def eval(self, x, y):
         return np.clip(np.asarray(self.fn(x, y), dtype=float), 0.0, 1.0)
-
-    def with_cells(self, cells: int) -> "ExpressionGraphon":
-        out = ExpressionGraphon.__new__(ExpressionGraphon)
-        out.fn, out.name, out.cells, out.degree = self.fn, self.name, int(cells), self.degree
-        return out
-
-    def quad(self):
-        x, w = np.polynomial.legendre.leggauss(self.degree)
-        x01 = (x + 1) / 2
-        w01 = w / 2
-        width = 1.0 / self.cells
-        nodes = (np.arange(self.cells)[:, None] * width + x01[None, :] * width).ravel()
-        weights = np.tile(w01 * width, self.cells)
-        return nodes, weights
 
 
 def empirical_block_graphon(adjacency: np.ndarray, name: str = "empirical") -> BlockGraphon:
@@ -191,30 +162,44 @@ def _hom_sum(mm: MultiMotif, w: Graphon, nodes, weights, pins=None):
     return out if keep else float(out)
 
 
-def hom_density(f: Motif | MultiMotif, w: Graphon) -> float:
-    """Homomorphism density t(f, w); multigraph edges multiply repeated kernels.
+def _gauss_legendre(cells: int):
+    """Composite Gauss-Legendre rule on [0,1]: QUAD_DEGREE nodes in each of
+    `cells` equal cells, exact for polynomials of degree 2*QUAD_DEGREE-1 per cell."""
+    x, w = np.polynomial.legendre.leggauss(QUAD_DEGREE)
+    width = 1.0 / cells
+    nodes = (np.arange(cells)[:, None] * width + (x + 1)[None, :] / 2 * width).ravel()
+    return nodes, np.tile(w / 2 * width, cells)
 
-    Block graphons are summed exactly; expression graphons are integrated by
-    composite Gauss-Legendre quadrature with a cell-doubling convergence check
-    (relative change below 1e-6).
+
+def _integrate(mm: MultiMotif, w: Graphon, pins=None):
+    """The one checked path for graphon integrals: _hom_sum over all free vertices.
+
+    A BlockGraphon is summed exactly over its blocks.  Any other graphon is
+    integrated by composite Gauss-Legendre quadrature, doubling the cells from
+    QUAD_CELLS until max|cur - prev| <= QUAD_TOL * max(max|cur|, 1e-12), and
+    returning the finer value; QuadratureError at _MAX_CELLS.
     """
-    mm = as_multimotif(f)
-    if isinstance(w, ExpressionGraphon):
-        cells = w.cells
-        prev = _hom_sum(mm, w, *w.with_cells(cells).quad())
-        while True:
-            cells *= 2
-            cur = _hom_sum(mm, w, *w.with_cells(cells).quad())
-            if abs(cur - prev) <= QUAD_TOL * max(abs(cur), 1e-12):
-                return cur
-            if cells >= _MAX_CELLS:
-                raise QuadratureError(
-                    f"density of {mm!r} in {w.name!r} did not converge at "
-                    f"{cells * w.degree} points per axis; use a BlockGraphon "
-                    f"for step-like kernels")
-            prev = cur
-    nodes, weights = w.quad()
-    return _hom_sum(mm, w, nodes, weights)
+    if isinstance(w, BlockGraphon):
+        return _hom_sum(mm, w, w.cum - w.sizes / 2, w.sizes, pins)
+    cells = QUAD_CELLS
+    prev = _hom_sum(mm, w, *_gauss_legendre(cells), pins)
+    while True:
+        cells *= 2
+        cur = _hom_sum(mm, w, *_gauss_legendre(cells), pins)
+        if np.max(np.abs(cur - prev)) <= QUAD_TOL * max(np.max(np.abs(cur)), 1e-12):
+            return cur
+        if cells >= _MAX_CELLS:
+            pinned = f" with vertices {tuple(pins)} pinned" if pins else ""
+            raise QuadratureError(
+                f"integral of {mm!r}{pinned} in {w.name!r} did not converge at "
+                f"{cells * QUAD_DEGREE} points per axis; use a BlockGraphon "
+                f"for step-like kernels")
+        prev = cur
+
+
+def hom_density(f: Motif | MultiMotif, w: Graphon) -> float:
+    """Homomorphism density t(f, w); multigraph edges multiply repeated kernels."""
+    return _integrate(as_multimotif(f), w)
 
 
 def conditional_1pt(h: Motif | MultiMotif, a: int, x, w: Graphon):
@@ -223,8 +208,7 @@ def conditional_1pt(h: Motif | MultiMotif, a: int, x, w: Graphon):
     if not (1 <= a <= mm.k):
         raise ValueError(f"vertex {a} not in 1..{mm.k}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    nodes, weights = w.quad()
-    out = _hom_sum(mm, w, nodes, weights, pins={a: xs})
+    out = _integrate(mm, w, pins={a: xs})
     return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
@@ -233,9 +217,8 @@ def tbar_1pt(h: Motif | MultiMotif, x, w: Graphon):
     mm = as_multimotif(h)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     total = np.zeros(len(xs))
-    nodes, weights = w.quad()
     for orbit in _pin_orbits(mm, 1):        # automorphic vertices give equal t_a
-        total += len(orbit) * _hom_sum(mm, w, nodes, weights, pins=dict.fromkeys(orbit[0], xs))
+        total += len(orbit) * _integrate(mm, w, pins=dict.fromkeys(orbit[0], xs))
     total /= mm.k
     return total[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else total
 
@@ -278,12 +261,11 @@ def conditional_kernel_2pt(h: Motif, w: Graphon, grid: int = 64) -> KernelMatrix
         raise ValueError(f"need grid >= 2, got {grid}")
     mm = as_multimotif(h)
     g = (np.arange(grid) + 0.5) / grid
-    nodes, weights = w.quad()
     total = np.zeros((grid, grid))
     for orbit in _pin_orbits(mm, 2):
         # an automorphism maps the first pair onto each member, in one order or
         # the other, and t_{b,a}(x,y) = t_{a,b}(y,x): each adds tab + tab.T
-        tab = _hom_sum(mm, w, nodes, weights, pins=dict.fromkeys(orbit[0], g))
+        tab = _integrate(mm, w, pins=dict.fromkeys(orbit[0], g))
         total += len(orbit) * (tab + tab.T)
     vals = total / (2 * h.aut)
     vals = (vals + vals.T) / 2

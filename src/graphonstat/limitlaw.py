@@ -133,11 +133,18 @@ def _chaos_draws(rng, dim: int, draws: int, forms) -> np.ndarray:
     return out
 
 
-def _spectral_form(h: Motif, w: Graphon, m: int):
-    """z'(K/m)z - tr(K/m) on the grid as a weighted chi-squared form in z."""
-    lam, phi = np.linalg.eigh(centered_kernel(h, w, m) / m)
+def _regular_spectrum(h: Motif, w: Graphon, m: int):
+    """The one spectral decomposition of a regular motif on an m-cell grid.
+
+    Returns the eigenpairs (lam, phi) of K/m, K = centered_kernel(h, w, m),
+    with |lam| above SPECTRAL_CUT * kernel_bound(h), and the degree residual
+    max_x |(W_H 1)(x)/m - d_WH| = max |row sums of K/m|, which is 0 when w is
+    h-regular (then K/m has the spectrum of W_H/m less its eigenvalue d_WH).
+    """
+    a = centered_kernel(h, w, m) / m
+    lam, phi = np.linalg.eigh(a)
     keep = np.abs(lam) > SPECTRAL_CUT * kernel_bound(h)
-    return ("spectral", lam[keep], phi[:, keep])
+    return lam[keep], phi[:, keep], float(np.abs(a.sum(axis=1)).max())
 
 
 def sample_limit(spec: LimitSpec, draws: int, seed) -> np.ndarray:
@@ -153,7 +160,7 @@ def sample_limit(spec: LimitSpec, draws: int, seed) -> np.ndarray:
     m = spec.grid
     if m < 32:
         raise ValueError(f"grid must be >= 32, got {m}")
-    forms = [_spectral_form(h, spec.graphon, m) if reg
+    forms = [("spectral", *_regular_spectrum(h, spec.graphon, m)[:2]) if reg
              else ("linear", linear_profile(h, spec.graphon, m) / np.sqrt(m))
              for h, reg in zip(spec.motifs, spec.regular)]
     sigma_fac = _sigma_factor(spec.sigma, sum(spec.regular))
@@ -171,8 +178,7 @@ class RegularMarginalLaw:
 
     motif: Motif
     sigma: float                  # standard deviation of the Gaussian part
-    spectrum: np.ndarray          # eigenvalues with one copy of d_WH removed
-    removed_eigenvalue: float
+    spectrum: np.ndarray          # kept eigenvalues of the centered kernel K/m
     d_wh: float
     degeneracy_warning: bool
     grid: int
@@ -183,26 +189,21 @@ class RegularMarginalLaw:
 
 def marginal_regular_law(h: Motif, w: Graphon,
                          grid: int = DEFAULT_SPECTRUM_GRID) -> RegularMarginalLaw:
-    """Marginal law of a regular motif: Gaussian std plus the reduced spectrum.
+    """Marginal law of a regular motif: Gaussian std plus the kept spectrum.
 
-    The spectrum is that of (1/m) [W_H on the grid] with one copy of the
-    eigenvalue nearest d_WH removed; a warning flag is set when no eigenvalue
-    is close to d_WH (possible higher-order degeneracy or h-irregularity).
+    The spectrum is the one `sample_limit` draws from (`_regular_spectrum`).
+    The warning flag is set when the degree residual exceeds 0.05 |d_WH|: W_H
+    is then far from having constant degree d_WH, so h is not regular in w.
     """
-    kern = conditional_kernel_2pt(h, w, grid).values
-    lam = np.linalg.eigvalsh(kern / grid)
+    spectrum, _, residual = _regular_spectrum(h, w, grid)
     d = degree_constant(h, w)
-    idx = int(np.argmin(np.abs(lam - d)))
-    removed = float(lam[idx])
-    spectrum = np.delete(lam, idx)
-    warning = abs(removed - d) > 0.05 * max(1.0, abs(d))
     var = sigma_matrix([h], w).entries[0, 0]
     sigma = float(np.sqrt(max(var, 0.0)))
-    return RegularMarginalLaw(h, sigma, spectrum, removed, d, warning, grid)
+    return RegularMarginalLaw(h, sigma, spectrum, d, residual > 0.05 * abs(d), grid)
 
 
 def sample_marginal_regular(law: RegularMarginalLaw, draws: int, seed) -> np.ndarray:
-    """Draws of sigma*Z + sum_l lambda_l (Z_l^2 - 1) from the reduced spectrum.
+    """Draws of sigma*Z + sum_l lambda_l (Z_l^2 - 1), one Z_l per kept eigenvalue.
 
     The chi-squared part and the Gaussian part use two substreams of the seed.
     """

@@ -107,13 +107,33 @@ class TestHomDensity:
             assert hom_density(h, expr) == pytest.approx(
                 hom_density(h, w_bipartite_half), abs=1e-8)
 
-    def test_quadrature_convergence_error_for_misaligned_step(self):
-        # a jump off the cell grid never meets the refinement tolerance
+    @pytest.mark.parametrize("integral", [
+        lambda w: hom_density(K3, w),
+        lambda w: conditional_1pt(K3, 1, 0.3001, w),
+        lambda w: tbar_1pt(K3, 0.3001, w),
+        lambda w: conditional_kernel_2pt(K3, w),
+    ], ids=["hom_density", "conditional_1pt", "tbar_1pt", "conditional_kernel_2pt"])
+    def test_quadrature_convergence_error_for_misaligned_step(self, integral):
+        # a jump off the cell grid never meets the refinement tolerance, so
+        # every graphon integral raises rather than return an unchecked value
         expr = ExpressionGraphon(
-            lambda x, y: 1.0 * ((np.asarray(x) < 1 / 3) ^ (np.asarray(y) < 1 / 3)),
+            lambda x, y: np.where((np.asarray(x) < 0.3) == (np.asarray(y) < 0.3), 0.8, 0.2),
             name="misaligned")
         with pytest.raises(QuadratureError):
-            hom_density(K2, expr)
+            integral(expr)
+
+    def test_hom_sum_is_called_only_from_integrate(self):
+        # one checked path: no graphon integral bypasses the convergence check
+        import ast
+        import inspect
+        import graphonstat.graphon as mod
+        callers = set()
+        for fn in ast.walk(ast.parse(inspect.getsource(mod))):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_hom_sum":
+                        callers.add(fn.name)
+        assert callers == {"_integrate"}
 
 
 class TestConditionalDensities:

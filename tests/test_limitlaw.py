@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy import stats
 
 from graphonstat import (K2, K3, LimitSpec, build_limit_spec, cycle,
@@ -117,8 +118,17 @@ class TestMarginalRegularLaw:
     def test_constant_edge_reduces_to_gaussian(self, w_const_half):
         law = marginal_regular_law(K2, w_const_half, grid=128)
         assert law.sigma == pytest.approx(np.sqrt(0.125), abs=1e-10)
-        assert np.abs(law.spectrum).max() < 1e-12
+        assert law.spectrum.size == 0
         assert not law.degeneracy_warning
+
+    def test_aligned_three_block_spectrum(self, w_two_community):
+        # 252 is a multiple of 3, so the grid aligns with the blocks: W_H = W/2
+        # has eigenvalues {1/6, 1/6, -1/6}, and the constant direction (d_WH = 1/6)
+        # is the one the centering removes
+        law = marginal_regular_law(K2, w_two_community, grid=252)
+        assert_allclose(np.sort(law.spectrum), [-1 / 6, 1 / 6], atol=1e-12)
+        assert law.sigma ** 2 == pytest.approx(0.0, abs=1e-12)
+        assert law.variance() == pytest.approx(1 / 9, abs=1e-12)
 
     def test_degree_eigenvalue_present_with_constant_eigenvector(self, w_const_half):
         m = 128
@@ -147,12 +157,27 @@ class TestMarginalRegularLaw:
         assert (lam ** 2).sum() == pytest.approx((kern ** 2).mean(), rel=1e-10)
 
     def test_degeneracy_warning_for_irregular_input(self):
-        # one dense half-block: the kernel spectrum is {1/4, 0, ...} while
-        # d_WH = t/2 = 1/8, so no eigenvalue is close and the flag fires
+        # one dense half-block: the degree of W_H is 1/2 on the block and 0
+        # off it, while d_WH = t/2 = 1/8, so the degree residual is 3/8
         from graphonstat import BlockGraphon
         w = BlockGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]])
         law = marginal_regular_law(K2, w, grid=128)
         assert law.degeneracy_warning
+
+    @pytest.mark.parametrize("wname,motif,warns", [
+        ("paper-w2", "k3", True), ("paper-w3", "k2", True), ("paper-w3", "c4", True),
+        ("paper-w1", "k3", True), ("half-block", "k2", True),
+        ("const:0.5", "k2", False), ("const:0.5", "k3", False), ("const:0.5", "c4", False),
+        ("paper-w2", "k2", False), ("paper-w2", "c4", False), ("paper-w3", "k3", False),
+        ("bipartite:0.5", "k3", False),
+    ])
+    def test_degeneracy_warning_follows_degree_residual(self, wname, motif, warns):
+        # regular pairs, misaligned grids included, keep the residual below
+        # 0.008 |d_WH| at grid 256; irregular pairs exceed 0.13 |d_WH|
+        from graphonstat import BlockGraphon, parse_motif
+        w = (BlockGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]]) if wname == "half-block"
+             else graphon_by_name(wname))
+        assert marginal_regular_law(parse_motif(motif), w, grid=256).degeneracy_warning is warns
 
     def test_ks_against_sample_limit(self, w_const_half):
         for h in (K2, K3):
