@@ -98,8 +98,18 @@ def _summary(config: dict, t0: float, **extra) -> dict:
     return out
 
 
+def _motif_names(text: str) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
 def _parse_motifs(text: str) -> tuple[Motif, ...]:
-    return tuple(parse_motif(tok) for tok in text.split(",") if tok.strip())
+    return tuple(parse_motif(tok) for tok in _motif_names(text))
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _load_graph(path: str) -> Graph:
@@ -133,7 +143,7 @@ def _cmd_limit_sample(args, config, t0):
     motifs = _parse_motifs(args.motifs)
     spec = build_limit_spec(motifs, w, grid=args.grid)
     draws = sample_limit(spec, args.draws, seed=args.seed)
-    header = [f"z_{m}" for m in args.motifs.split(",")]
+    header = [f"z_{m}" for m in _motif_names(args.motifs)]
     write_csv(args.out, config, header, draws)
     return _summary(config, t0, draws=args.draws,
                     regular=[bool(b) for b in spec.regular], out=args.out)
@@ -150,7 +160,7 @@ def _cmd_bootstrap(args, config, t0):
     else:
         branches = args.branch
     draws = multiplier_draws(g, motifs, branches, args.B, seed=args.seed)
-    header = [f"zhat_{m}" for m in args.motifs.split(",")]
+    header = [f"zhat_{m}" for m in _motif_names(args.motifs)]
     write_csv(args.out, config, header, draws.samples)
     return _summary(config, t0, B=args.B, branches=list(draws.branches), out=args.out)
 
@@ -226,7 +236,7 @@ def _cmd_coverage_sim(args, config, t0):
         header = ["rep", "inside", "lower", "upper", "irregular_branch"]
     else:
         header = ["rep", "inside", "quantile"] + \
-            [f"reg_stat_{m}" for m in args.motifs.split(",")]
+            [f"reg_stat_{m}" for m in _motif_names(args.motifs)]
     coverage = float(np.mean([r[1] for r in rows]))
     write_csv(args.out, config, header, rows,
               footer_comments=[f"coverage={coverage:.17g}"])
@@ -254,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("sample", _cmd_sample, help="sample a W-random graph to an edge list")
     sp.add_argument("--graphon", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default="-")
 
@@ -266,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
              help="draw from the joint limit law of motif counts")
     sp.add_argument("--graphon", required=True)
     sp.add_argument("--motifs", required=True)
-    sp.add_argument("--draws", type=int, required=True)
+    sp.add_argument("--draws", type=_positive_int, required=True)
     sp.add_argument("--grid", type=int, default=512)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default="-")
@@ -276,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--motifs", required=True)
     sp.add_argument("--branch", default="auto",
                     help="auto, linear, quadratic, or per-motif comma list")
-    sp.add_argument("--B", type=int, required=True)
+    sp.add_argument("--B", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default="-")
 
@@ -291,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", required=True)
     sp.add_argument("--motif", required=True)
     sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--B", type=int, required=True)
+    sp.add_argument("--B", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, required=True)
 
     sp = add("joint-ci", _cmd_joint_ci, help="joint confidence set for motif densities")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--motifs", required=True)
     sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--B", type=int, required=True)
+    sp.add_argument("--B", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, required=True)
 
     sp = add("structure", _cmd_structure, help="edge/4-cycle global structure test")
@@ -309,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
              help="replicated coverage simulation for confidence sets")
     sp.add_argument("--graphon", required=True)
     sp.add_argument("--motifs", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--B", type=int, required=True)
-    sp.add_argument("--reps", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
+    sp.add_argument("--B", type=_positive_int, required=True)
+    sp.add_argument("--reps", type=_positive_int, required=True)
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--mode", choices=("joint", "marginal"), default="joint")

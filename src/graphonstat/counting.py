@@ -5,15 +5,17 @@ strategies back the public operations: closed forms for the workhorse motifs
 (edge, 2-star, triangle, 4-cycle, bowtie) built from degree sums and matrix
 powers, and, for every other motif, Moebius inversion over vertex partitions
 which turns injective counts into all-maps homomorphism counts evaluated by
-exact integer contraction (`_elim.contract`).  Pinned motif vertices (the
-1- and 2-point densities) enter the canonical form as colours: each Aut(h)
-orbit of pins and each isomorphism class of quotients is contracted once.
+exact integer contraction (`_elim.contract`).  Its quotient classes and
+weights (the spasm) depend on the motif and its pins alone, so `_spasm`
+builds them once, from loop-free partitions.  Pins (the 1- and 2-point
+densities) are colours in the canonical form: each Aut(h) orbit of pins and
+each quotient class is contracted once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,88 +153,75 @@ def _bell(k: int) -> int:
     return row[-1]
 
 
-# Partitions `_mobius_injective` may enumerate: Bell(12) = 4,213,597, so the
-# 11-vertex joins of 6-vertex motifs still count; larger motifs raise.
+# Partitions `_spasm` may face: Bell(12) = 4,213,597, so the 11-vertex joins
+# of 6-vertex motifs still count; larger motifs raise.
 _PARTITION_CAP = _bell(12)
 
 
-def _set_partitions(items: tuple[int, ...]):
-    """All set partitions of items, as lists of tuples."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + (first,)] + part[i + 1:]
-        yield part + [(first,)]
+@lru_cache(maxsize=1 << 10)
+def _spasm(h: Motif, pins: tuple[int, ...] = ()):
+    """The Moebius expansion of h with pins: one (quotient edges, blocks, pin
+    blocks, summed weight) entry per class with a nonzero weight.
 
-
-def _mobius(blocks) -> int:
-    mu = 1
-    for b in blocks:
-        s = len(b)
-        mu *= (-1) ** (s - 1) * math.factorial(s - 1)
-    return mu
-
-
-def _quotient_edges(h: Motif, blocks):
-    """Map h's edges through the partition; None when a loop appears."""
-    rep = {}
-    for i, b in enumerate(blocks):
-        for v in b:
-            rep[v] = i
-    edges = set()
-    for u, v in h.edges:
-        a, b = rep[u], rep[v]
-        if a == b:
-            return None, rep
-        edges.add((min(a, b), max(a, b)))
-    return sorted(edges), rep
-
-
-def _hom_count_graph(edges, k: int, g: Graph, pins: dict[int, str]):
-    """All-maps homomorphism count by contraction; pins keep named output axes.
-
-    The adjacency goes in as integers, so `contract` counts exactly at any n.
-    """
-    domains = {pins.get(v, v): g.n for v in range(k)}
-    factors = [((pins.get(u, u), pins.get(v, v)), g.adj) for u, v in edges]
-    return contract(factors, domains, keep=tuple(pins.values()))
-
-
-def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
-    """Injective homomorphism count via hom counts of vertex-identified quotients.
-
-    pins are motif vertices whose images stay free output axes (a 0-d array
-    when there are none).  Partitions merging two pinned vertices contribute
-    only on the diagonal of the output, which the callers zero by convention,
-    so they are skipped.  Quotients are grouped by their canonical key with
-    each pinned block coloured by its axis, so each class's hom count runs
-    once, times the class's summed Moebius weight.  Totals are exact: int64
-    arrays that turn into Python ints before their bound reaches 2^63.  A
-    motif with more than _PARTITION_CAP partitions raises MotifSizeError
-    before any is enumerated.
+    Quotient vertices are blocks 0..blocks-1; pin_blocks[i] holds pins[i].
+    Vertices are placed in order, each opening a block or joining one with
+    none of its neighbours (a loop has no image in a simple graph) and, for a
+    pin, no other pin (merged pins only add to the diagonal the callers zero).
+    Joining a block of size s multiplies the weight by -s, which gives each
+    partition its Moebius weight prod (-1)^(|b|-1) (|b|-1)!.  Classes are
+    canonical keys with pinned blocks coloured; past _PARTITION_CAP
+    partitions it raises MotifSizeError.
     """
     partitions = _bell(h.k)
     if partitions > _PARTITION_CAP:
         raise MotifSizeError(f"Moebius inversion of a {h.k}-vertex motif needs {partitions} "
                              f"vertex partitions, cap is {_PARTITION_CAP}")
+    edges = [(u - 1, v - 1) for u, v in h.edges]
+    pinned = [p - 1 for p in pins]
+    # the earlier vertices that vertex v may not share a block with
+    avoid = [[u for u, w in edges if w == v] + [p for p in pinned if p < v and v in pinned]
+             for v in range(h.k)]
+    block_of = [0] * h.k
+    labelled: dict = {}                     # (blocks, edges, pin blocks) -> summed weight
+
+    def place(v, blocks, weight):
+        if v == h.k:
+            quotient = {(a, b) if a < b else (b, a)
+                        for a, b in ((block_of[u], block_of[w]) for u, w in edges)}
+            key = (blocks, tuple(sorted(quotient)), tuple(block_of[p] for p in pinned))
+            labelled[key] = labelled.get(key, 0) + weight
+            return
+        taken = {block_of[u] for u in avoid[v]}
+        for b in range(blocks):
+            if b not in taken:
+                block_of[v] = b
+                place(v + 1, blocks, -block_of[:v].count(b) * weight)
+        block_of[v] = blocks
+        place(v + 1, blocks + 1, weight)
+
+    place(0, 0, 1)
     classes: dict = {}
-    for blocks in _set_partitions(tuple(range(1, h.k + 1))):
-        edges, rep = _quotient_edges(h, blocks)
-        pin_axes = {rep[p]: f"pin{i}" for i, p in enumerate(pins)}
-        if edges is None or len(pin_axes) < len(pins):
-            continue
-        colours = tuple(pin_axes.get(b, "") for b in range(len(blocks)))
-        key = _canonical_form(len(blocks), tuple(((u + 1, v + 1), 1) for u, v in edges), colours)[0]
-        classes.setdefault(key, [edges, len(blocks), pin_axes, 0])[3] += _mobius(blocks)
+    for (k, quotient, pin_blocks), mu in labelled.items():
+        colours = tuple(pin_blocks.index(b) if b in pin_blocks else -1 for b in range(k))
+        key = _canonical_form(k, tuple(((a + 1, b + 1), 1) for a, b in quotient), colours)[0]
+        classes.setdefault(key, [quotient, k, pin_blocks, 0])[3] += mu
+    return tuple(tuple(c) for c in classes.values() if c[3])
+
+
+def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
+    """Injective homomorphism count: the classes of `_spasm(h, pins)`, each
+    contracted once, summed with their weights.
+
+    pins are motif vertices whose images stay free output axes (a 0-d array
+    when there are none); entries where two pins share an image are not
+    counts, and the callers zero them.  Totals are exact: int64 until their
+    bound reaches 2^63, Python ints after.
+    """
     total = ExactSum((g.n,) * len(pins))
-    for edges, k, pin_axes, mu in classes.values():
-        if mu:
-            # 0/1 adjacency: at most n choices for each unpinned block
-            total.add(_hom_count_graph(edges, k, g, pins=pin_axes), g.n ** (k - len(pins)),
-                      weight=mu)
+    for edges, k, pin_blocks, mu in _spasm(h, pins):
+        # 0/1 adjacency: at most n choices for each unpinned block
+        total.add(contract([(e, g.adj) for e in edges], dict.fromkeys(range(k), g.n), pin_blocks),
+                  g.n ** (k - len(pins)), weight=mu)
     return total.value
 
 

@@ -3,14 +3,16 @@
 Nothing here shares code with the package's counting or density engines:
 copies are counted by enumerating vertex subsets and their spanning edge
 subsets, injective maps or ordered backtracking, canonical keys by trying every
-vertex permutation, and densities are integrated by plain
-Riemann sums over vertex assignments.
+vertex permutation, Moebius expansions by enumerating every set partition, and
+densities are integrated by plain Riemann sums over vertex assignments.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +54,53 @@ def brute_pin_orbits(h: Motif, size: int) -> list[list[tuple[int, ...]]]:
             seen.update(orbit)
             orbits.append(orbit)
     return orbits
+
+
+def _set_partitions(items: tuple[int, ...]):
+    """All set partitions of items, as lists of tuples."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + (first,)] + part[i + 1:]
+        yield part + [(first,)]
+
+
+def _mobius(blocks) -> int:
+    """Moebius weight of a partition over the finest one: prod (-1)^(|b|-1) (|b|-1)!."""
+    return math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in blocks)
+
+
+@lru_cache(maxsize=None)
+def quotient_class_key(k: int, edges: tuple, pin_blocks: tuple) -> tuple:
+    """`canonical_multigraph_key` of a quotient on blocks 0..k-1 whose block
+    pin_blocks[i] carries colour i (the others colour -1)."""
+    colours = [-1] * k
+    for i, b in enumerate(pin_blocks):
+        colours[b] = i
+    return canonical_multigraph_key(k, tuple(((a + 1, b + 1), 1) for a, b in edges),
+                                    tuple(colours))
+
+
+def reference_spasm(h: Motif, pins: tuple[int, ...] = ()) -> dict:
+    """Moebius expansion of h from every set partition of its vertices.
+
+    Partitions whose quotient has a loop or holds two pins in one block are
+    dropped; the others are keyed by `quotient_class_key` and their weights
+    summed.  Only classes with a nonzero sum are returned.
+    """
+    weights: Counter = Counter()
+    for blocks in _set_partitions(tuple(range(1, h.k + 1))):
+        rep = {v: i for i, b in enumerate(blocks) for v in b}
+        edges = {tuple(sorted((rep[u], rep[v]))) for u, v in h.edges}
+        pin_blocks = tuple(rep[p] for p in pins)
+        if any(a == b for a, b in edges) or len(set(pin_blocks)) < len(pins):
+            continue
+        weights[quotient_class_key(len(blocks), tuple(sorted(edges)), pin_blocks)] += \
+            _mobius(blocks)
+    return {key: w for key, w in weights.items() if w}
 
 
 def subset_copy_census(g: Graph, max_k: int = 4) -> Counter:

@@ -75,6 +75,20 @@ class TestExitCodes:
                            "--motif", "gnarl")
         assert code == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["coverage-sim", "--graphon", "const:0.5", "--motifs", "k2", "--n", "40",
+         "--B", "50", "--reps", "0", "--seed", "1", "--out", "-"],
+        ["limit-sample", "--graphon", "const:0.5", "--motifs", "k2", "--draws", "-5",
+         "--seed", "1"],
+        ["sample", "--graphon", "const:0.5", "--n", "0", "--seed", "1"],
+        ["ci", "--graph", "g.txt", "--motif", "k2", "--B", "0", "--seed", "1"],
+    ], ids=["reps", "draws", "n", "B"])
+    def test_count_options_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_regtest_on_eight_vertex_motif_raises_at_once(self, graph_file, capsys):
         # the 15-vertex joins of C8 have Bell(15) ~ 1.4e9 vertex partitions
         t = time.perf_counter()
@@ -133,6 +147,26 @@ class TestStatCommands:
         rows = [l for l in open(out_path).read().splitlines()
                 if l and not l.startswith("#")]
         assert len(rows) == 41
+
+
+    def test_header_names_the_stripped_motifs(self, graph_file, tmp_path, capsys):
+        runs = {
+            "z_k2,z_k3": ["limit-sample", "--graphon", "const:0.5", "--draws", "5",
+                          "--grid", "64"],
+            "zhat_k2,zhat_k3": ["bootstrap", "--graph", graph_file, "--B", "5"],
+            "rep,inside,quantile,reg_stat_k2,reg_stat_k3": [
+                "coverage-sim", "--graphon", "const:0.5", "--n", "30", "--B", "20",
+                "--reps", "2"],
+        }
+        for header, argv in runs.items():
+            out_path = str(tmp_path / "out.csv")
+            code, _, _ = run(capsys, *argv, "--motifs", " k2, k3,", "--seed", "1",
+                             "--out", out_path)
+            assert code == 0
+            rows = [l.split(",") for l in open(out_path).read().splitlines()
+                    if not l.startswith("#")]
+            assert rows[0] == header.split(",")
+            assert {len(r) for r in rows} == {len(rows[0])}
 
 
 class TestCsvWriter:

@@ -1,4 +1,8 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -18,7 +22,8 @@ from graphonstat.motifs import MotifSizeError, parse_motif, vertex_join
 
 from conftest import random_graph
 from oracles import _backtrack_count, all_motifs_up_to, oracle_copies, \
-    pinned_pair_counts, subset_copy_census, canonical_edge_key
+    pinned_pair_counts, quotient_class_key, reference_spasm, subset_copy_census, \
+    canonical_edge_key
 
 
 class TestGraphType:
@@ -235,6 +240,41 @@ def test_moebius_contracts_each_orbit_and_class_once(op, h, most, monkeypatch):
     monkeypatch.setattr(counting, "contract", counted)
     op(h, random_graph(12, 0.5, seed=53))
     assert 0 < len(calls) <= most
+
+
+class TestSpasm:
+    @pytest.mark.parametrize("h", all_motifs_up_to(5), ids=lambda h: f"{h.k}:" + ",".join(
+        f"{u}{v}" for u, v in sorted(h.edges)))
+    def test_matches_all_partitions_reference(self, h):
+        vertices = range(1, h.k + 1)
+        for pins in [()] + [(a,) for a in vertices] + list(itertools.combinations(vertices, 2)):
+            got = {}
+            for edges, k, pin_blocks, mu in counting._spasm(h, pins):
+                assert all(a != b for a, b in edges)
+                assert len(set(pin_blocks)) == len(pins)
+                key = quotient_class_key(k, edges, pin_blocks)
+                assert key not in got
+                got[key] = mu
+            assert got == reference_spasm(h, pins), pins
+
+    def test_second_graph_builds_no_spasm(self):
+        code = ("from graphonstat import (C4, graphon_by_name, one_point_density, path, "
+                "regularity_R_empirical, sample_graph); "
+                "g = sample_graph(graphon_by_name('paper-w1'), 20, seed=2); "
+                "print(one_point_density(path(4), g).x_a.tobytes().hex(), "
+                "regularity_R_empirical(C4, g).hex())")
+        w = graphon_by_name("paper-w1")
+        g1, g2 = sample_graph(w, 20, seed=1), sample_graph(w, 20, seed=2)
+        one_point_density(path(4), g1)
+        regularity_R_empirical(C4, g1)
+        misses = counting._spasm.cache_info().misses
+        x_a = one_point_density(path(4), g2).x_a
+        r = regularity_R_empirical(C4, g2)
+        assert counting._spasm.cache_info().misses == misses
+        src = os.path.dirname(os.path.dirname(os.path.abspath(counting.__file__)))
+        fresh = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                               capture_output=True, text=True, check=True, timeout=120)
+        assert fresh.stdout.split() == [x_a.tobytes().hex(), r.hex()]
 
 
 class TestEmpiricalGraphon:
