@@ -20,13 +20,15 @@ is one matrix product of size about (pn)^3.  Apart from the result itself,
 whose axes are the `keep` variables, every tensor is at most as large as the
 largest input factor or the product of two domains, so there is no size cap.
 
-Integer factor lists are summed exactly by one rule.  Each step bounds its
-output entries by the product of its input entry bounds times the size of the
-domain it sums over.  The step runs in float64 (BLAS, exact for integers of
-that size) when the bound is at most 2^53, in int64 when it is below 2^63,
-and in Python ints (object arrays; by then these are small vectors)
-otherwise.  Slices and other running totals stay int64 while their summed
-bound is below 2^63 and switch to Python ints after that.
+Integer sums are exact by one rule, `_exact_dtype(bound)`: a sum whose
+entries are bounded by `bound` before it runs is taken in float64 (BLAS,
+exact for every integer up to 2^53) when the bound is at most 2^53, in int64
+when it is below 2^63, and in Python ints (object arrays; by then these are
+small vectors) otherwise.  A contraction step bounds its output by the
+product of its input entry bounds times the size of the domain it sums over;
+a running total (`ExactSum`) by the summed bounds of its parts; a reduction
+of an array (`_exact_total`) by the sum of its entry magnitudes.  Results
+keep the dtype the rule gave them.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ def contract(factors, domains, keep=()):
     array.shape matching their domain sizes; domains: dict var -> domain
     size; keep: ordered variables of the result.  Returns an ndarray indexed
     by `keep` (0-d if empty).  When every array has an integer dtype the sum
-    is exact: the result is int64, or an object array of Python ints when
-    its bound reaches 2^63.
+    is exact, in the dtype `_exact_dtype` gives its bound: float64 holding
+    integers, int64, or an object array of Python ints.
     """
     factors = [(tuple(vs), np.asarray(arr)) for vs, arr in factors]
     keep = tuple(keep)
@@ -72,28 +74,33 @@ def contract(factors, domains, keep=()):
     for v in domains:
         if v not in keep and v not in touched:
             items.append(((v,), np.ones(domains[v]), 1 if integer else None))
-    _, out, _ = _contract(items, domains, keep)
-    return out.astype(np.int64) if integer and out.dtype.kind == "f" else out
+    return _contract(items, domains, keep)[1]
 
 
 class ExactSum:
     """Running exact sum of integer arrays of one shape.
 
-    The total is int64 while the summed bounds of the parts stay below 2^63
-    and an object array of Python ints after that.  Parts may arrive as int64,
-    object, or float64 holding exact integers.
+    The total is held in `_exact_dtype` of the summed bounds of its parts,
+    moved there before each part is added: every intermediate total is an
+    integer no larger than that bound.  Parts may arrive as float64 holding
+    exact integers, int64 or object.
     """
 
     def __init__(self, shape):
-        self.value = np.zeros(shape, dtype=np.int64)
+        self.value = np.zeros(shape)
         self.bound = 0
 
     def add(self, part, bound: int, weight: int = 1, index=...):
         """Add weight * part (entries at most `bound` in magnitude) at `index`."""
         self.bound += abs(weight) * bound
-        if self.bound >= _INT64_END and self.value.dtype != object:
-            self.value = self.value.astype(object)
+        self.value = _as_dtype(self.value, _exact_dtype(self.bound))
         self.value[index] += weight * _as_dtype(np.asarray(part), self.value.dtype)
+
+
+def _exact_total(x, bound: int) -> int:
+    """Exact sum of an integer-valued array whose entry magnitudes sum to at
+    most `bound`; every partial sum is then an integer of at most `bound`."""
+    return int(_as_dtype(x, _exact_dtype(bound)).sum())
 
 
 def _max_abs(arr) -> int:
@@ -218,9 +225,8 @@ def _sliced(factors, domains, keep, elim):
     s = min(elim, key=lambda v: (-sum(v in f[0] for f in factors), str(v)))
     on_s = [f for f in factors if s in f[0]]
     rest = [f for f in factors if s not in f[0]]
-    shape = tuple(domains[u] for u in keep)
     integer = factors[0][2] is not None
-    total = ExactSum(shape) if integer else np.zeros(shape)
+    total = ExactSum(tuple(domains[u] for u in keep))  # real parts add bound 0: float64
     for x in range(domains[s]):
         # Factors that share an array share its slices and restrictions.
         memo = {}
@@ -254,14 +260,8 @@ def _sliced(factors, domains, keep, elim):
         sub_domains = {u: support[u].size if u in support else domains[u]
                        for u in keep + tuple(elim) if u != s}
         _, part, bound = _contract(restricted, sub_domains, keep)
-        index = _restrict_index(keep, domains, support)
-        if integer:
-            total.add(part, bound, index=index)
-        else:
-            total[index] += part
-    if integer:
-        return keep, total.value, total.bound
-    return keep, total, None
+        total.add(part, bound if integer else 0, index=_restrict_index(keep, domains, support))
+    return keep, total.value, total.bound if integer else None
 
 
 def _restrict(arr, vs, support):

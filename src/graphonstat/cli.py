@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import multiplier_draws
-from .counting import (Graph, GraphSizeError, count_copies,
-                       density_hat_t, edge_list_lines, load_edge_list)
+from .counting import (GraphSizeError, count_copies, density_hat_t, edge_list_lines,
+                       load_edge_list)
 from .graphon import QuadratureError, graphon_by_name, hom_density, sample_graph
 from .inference import (DEFAULT_REGULARITY_EXPONENT, DegenerateDensityError,
                         joint_confidence_set, marginal_ci, regularity_test,
@@ -34,8 +34,6 @@ from .motifs import Motif, MotifSizeError, parse_motif
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-_STOCHASTIC = ("sample", "limit-sample", "bootstrap", "ci", "joint-ci", "coverage-sim")
 
 
 def version_string() -> str:
@@ -112,10 +110,6 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _load_graph(path: str) -> Graph:
-    return load_edge_list(path)
-
-
 # -- subcommand implementations -------------------------------------------------
 
 def _cmd_sample(args, config, t0):
@@ -132,7 +126,7 @@ def _cmd_sample(args, config, t0):
 
 
 def _cmd_count(args, config, t0):
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     h = parse_motif(args.motif)
     x = count_copies(h, g)
     return _summary(config, t0, count=x, hat_t=density_hat_t(h, g), n=g.n)
@@ -150,7 +144,7 @@ def _cmd_limit_sample(args, config, t0):
 
 
 def _cmd_bootstrap(args, config, t0):
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     motifs = _parse_motifs(args.motifs)
     if args.branch == "auto":
         branches = tuple("linear" if regularity_test(g, h).reject_regularity
@@ -166,7 +160,7 @@ def _cmd_bootstrap(args, config, t0):
 
 
 def _cmd_regtest(args, config, t0):
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     h = parse_motif(args.motif)
     t = regularity_test(g, h, threshold=args.threshold, exponent=args.exponent)
     return _summary(config, t0, statistic=t.statistic, r_value=t.r_value,
@@ -175,7 +169,7 @@ def _cmd_regtest(args, config, t0):
 
 
 def _cmd_ci(args, config, t0):
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     h = parse_motif(args.motif)
     ci = marginal_ci(g, h, args.alpha, args.B, seed=args.seed)
     return _summary(config, t0, lower=ci.lower, upper=ci.upper,
@@ -184,14 +178,14 @@ def _cmd_ci(args, config, t0):
 
 
 def _cmd_joint_ci(args, config, t0):
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     motifs = _parse_motifs(args.motifs)
     report = joint_confidence_set(g, motifs, args.alpha, args.B, seed=args.seed)
     return _summary(config, t0, **report.to_record())
 
 
 def _cmd_structure(args, config, t0):
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     res = structure_test(g, args.alpha)
     return _summary(config, t0, f_hat=res.f_hat, t_n=res.t_n, z_crit=res.z_crit,
                     reject=res.reject, n=res.n)
@@ -277,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graphon", required=True)
     sp.add_argument("--motifs", required=True)
     sp.add_argument("--draws", type=_positive_int, required=True)
-    sp.add_argument("--grid", type=int, default=512)
+    sp.add_argument("--grid", type=_positive_int, default=512)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default="-")
 
@@ -325,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--mode", choices=("joint", "marginal"), default="joint")
-    sp.add_argument("--workers", type=int, default=1,
+    sp.add_argument("--workers", type=_positive_int, default=1,
                     help="worker processes (default: 1, serial)")
     sp.add_argument("--out", required=True)
 

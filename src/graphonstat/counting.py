@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._elim import ExactSum, _as_dtype, _exact_dtype, _max_abs, contract
+from ._elim import ExactSum, _as_dtype, _exact_dtype, _exact_total, contract
 from .graphon import BlockGraphon, KernelMatrix, empirical_block_graphon
 from .motifs import (C4, K2, K3, K12, Motif, MotifSizeError, _canonical_form, _pin_orbits,
                      vertex_join)
@@ -40,7 +40,7 @@ class Graph:
             raise ValueError("adjacency is not symmetric")
         if np.any(np.diag(a) != 0):
             raise ValueError("adjacency has a self-loop")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         self.adj = a.astype(np.uint8)
         self.adj.flags.writeable = False
@@ -203,7 +203,9 @@ def _spasm(h: Motif, pins: tuple[int, ...] = ()):
     classes: dict = {}
     for (k, quotient, pin_blocks), mu in labelled.items():
         colours = tuple(pin_blocks.index(b) if b in pin_blocks else -1 for b in range(k))
-        key = _canonical_form(k, tuple(((a + 1, b + 1), 1) for a, b in quotient), colours)[0]
+        # uncached: these labelled quotients are keyed once, while `_spasm` is cached
+        key = _canonical_form.__wrapped__(k, tuple(((a + 1, b + 1), 1) for a, b in quotient),
+                                          colours)[0]
         classes.setdefault(key, [quotient, k, pin_blocks, 0])[3] += mu
     return tuple(tuple(c) for c in classes.values() if c[3])
 
@@ -214,8 +216,8 @@ def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
 
     pins are motif vertices whose images stay free output axes (a 0-d array
     when there are none); entries where two pins share an image are not
-    counts, and the callers zero them.  Totals are exact: int64 until their
-    bound reaches 2^63, Python ints after.
+    counts, and the callers zero them.  Totals are exact, in the dtype
+    `_elim._exact_dtype` gives their bound: float64, int64 or Python ints.
     """
     total = ExactSum((g.n,) * len(pins))
     for edges, k, pin_blocks, mu in _spasm(h, pins):
@@ -240,36 +242,30 @@ def _closed_injective_total(name: str, g: Graph) -> int:
     """Injective count from degree sums and matrix powers.
 
     Per-entry quantities stay in float64, where their integer values (at most
-    n^2) are exact; the reductions run in int64 or Python ints.
+    n^2) are exact.  Each reduction is `_elim._exact_total` with a static
+    bound on the sum of its entries: n^3, n^4, or n^5 for the bowtie's
+    per-vertex term.
     """
     if name == "k2":
         return 2 * g.n_edges
     d = g.degrees
     if name == "k12":
-        return _exact_total(d * (d - 1))
+        return _exact_total(d * (d - 1), g.n ** 3)
     a = g.adj_float()
     a2 = g.codegrees
     if name == "k3":
-        return _exact_total(a2 * a)
+        return _exact_total(a2 * a, g.n ** 3)
     if name == "c4":
         codeg = a2 - np.diag(np.diag(a2))
-        return _exact_total(codeg * (codeg - 1))
+        return _exact_total(codeg * (codeg - 1), g.n ** 4)
     if name == "bowtie":
         tri = (a2 * a).sum(axis=1) // 2           # triangles at each vertex
         tri = _as_dtype(tri, _exact_dtype(g.n ** 4))   # tri * (tri - 1) < n^4
-        per_vertex = _exact_total(tri * (tri - 1)) // 2
+        per_vertex = _exact_total(tri * (tri - 1), g.n ** 5) // 2
         codeg = a2 * a                            # codegree restricted to edges
-        per_edge = _exact_total(codeg * (codeg - 1)) // 4
+        per_edge = _exact_total(codeg * (codeg - 1), g.n ** 4) // 4
         return (per_vertex - 2 * per_edge) * _BOWTIE.aut
     raise KeyError(name)
-
-
-def _exact_total(x) -> int:
-    """Exact sum of an integer-valued array, in int64 when that cannot overflow."""
-    x = _as_dtype(np.asarray(x), np.dtype(np.int64))
-    if _max_abs(x) * x.size >= 2 ** 63:
-        x = x.astype(object)
-    return int(x.sum())
 
 
 def _closed_one_point(name: str, g: Graph) -> np.ndarray:

@@ -264,12 +264,11 @@ def conditional_kernel_2pt(h: Motif, w: Graphon, grid: int = 64) -> KernelMatrix
     total = np.zeros((grid, grid))
     for orbit in _pin_orbits(mm, 2):
         # an automorphism maps the first pair onto each member, in one order or
-        # the other, and t_{b,a}(x,y) = t_{a,b}(y,x): each adds tab + tab.T
+        # the other, and t_{b,a}(x,y) = t_{a,b}(y,x): each adds tab + tab.T,
+        # so the total is exactly symmetric
         tab = _integrate(mm, w, pins=dict.fromkeys(orbit[0], g))
         total += len(orbit) * (tab + tab.T)
-    vals = total / (2 * h.aut)
-    vals = (vals + vals.T) / 2
-    return KernelMatrix(vals, h, kind="graphon")
+    return KernelMatrix(total / (2 * h.aut), h, kind="graphon")
 
 
 # -- regularity and covariance matrices ---------------------------------------

@@ -82,7 +82,11 @@ class TestExitCodes:
          "--seed", "1"],
         ["sample", "--graphon", "const:0.5", "--n", "0", "--seed", "1"],
         ["ci", "--graph", "g.txt", "--motif", "k2", "--B", "0", "--seed", "1"],
-    ], ids=["reps", "draws", "n", "B"])
+        ["coverage-sim", "--graphon", "const:0.5", "--motifs", "k2", "--n", "40",
+         "--B", "50", "--reps", "2", "--seed", "1", "--workers", "-1", "--out", "-"],
+        ["limit-sample", "--graphon", "const:0.5", "--motifs", "k2", "--draws", "5",
+         "--grid", "0", "--seed", "1"],
+    ], ids=["reps", "draws", "n", "B", "workers", "grid"])
     def test_count_options_must_be_positive(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

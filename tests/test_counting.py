@@ -15,6 +15,7 @@ from graphonstat import (K2, K3, C4, K12, Graph, GraphSizeError, Motif, clique,
                          path, regularity_R_empirical, regularity_test, sample_graph,
                          star, two_point_matrix)
 import graphonstat.counting as counting
+import graphonstat.motifs as motif_module
 from graphonstat._elim import contract
 from graphonstat.counting import (_BOWTIE, _mobius_injective, edge_list_lines,
                                   falling_factorial, load_edge_list)
@@ -34,6 +35,11 @@ class TestGraphType:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph(np.array([[1, 0], [0, 0]]))
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
+    def test_rejects_entries_other_than_0_and_1(self, value):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Graph(np.array([[0, value], [value, 0]]))
 
     def test_degrees_consistent(self, small_graph):
         assert small_graph.degrees.tolist() == [3, 2, 2, 1, 1, 1]
@@ -256,6 +262,13 @@ class TestSpasm:
                 assert key not in got
                 got[key] = mu
             assert got == reference_spasm(h, pins), pins
+
+    def test_spasm_build_leaves_canonical_form_cache_alone(self):
+        # the labelled quotients of one spasm are keyed once, uncached
+        h = vertex_join(cycle(5), 1, path(4), 2)
+        size = motif_module._canonical_form.cache_info().currsize
+        assert counting._spasm.__wrapped__(h, (1, 3))
+        assert motif_module._canonical_form.cache_info().currsize == size
 
     def test_second_graph_builds_no_spasm(self):
         code = ("from graphonstat import (C4, graphon_by_name, one_point_density, path, "

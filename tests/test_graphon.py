@@ -4,7 +4,7 @@ import pytest
 from graphonstat import (K2, K3, C4, K12, BlockGraphon, ExpressionGraphon,
                          clique, conditional_1pt, conditional_kernel_2pt,
                          constant_graphon, edge_join, gamma_matrix,
-                         graphon_by_name, hom_density, load_block_graphon,
+                         graphon_by_name, hom_density, load_block_graphon, path,
                          regularity_R_graphon, sample_graph, sigma_matrix,
                          tbar_1pt)
 from graphonstat.graphon import (QuadratureError, degree_constant, kernel_bound,
@@ -204,6 +204,13 @@ class TestTwoPointKernel:
             assert np.allclose(kern.values, kern.values.T, atol=1e-12)
             assert kern.values.min() >= -1e-12
             assert kern.values.max() <= kernel_bound(h) + 1e-12
+
+    @pytest.mark.parametrize("name", ["paper-w1", "paper-w2", "paper-w3", "product"])
+    @pytest.mark.parametrize("h", [K2, K3, C4, path(4)], ids=["k2", "k3", "c4", "p4"])
+    def test_exactly_symmetric(self, h, name):
+        # each pin orbit adds tab + tab.T, so no symmetrizing pass is needed
+        v = conditional_kernel_2pt(h, graphon_by_name(name), grid=64).values
+        assert np.array_equal(v, v.T)
 
     def test_degree_identity(self, w_affine):
         # row means of W_H equal ((k-1)/(2|Aut|)) sum_a t_a(x) at grid points

@@ -112,7 +112,7 @@ def test_empirical_graphon_reproduces_all_maps_density():
 
 from hypothesis import given, settings, strategies as st
 
-from graphonstat._elim import contract
+from graphonstat._elim import ExactSum, _exact_total, contract
 
 _VARS = "abcde"
 
@@ -161,7 +161,7 @@ def _run(factors, domains, keep, dtype):
 def test_contract_integer_matches_einsum_exactly(case):
     factors, domains, keep = case
     got = _run(factors, domains, keep, np.int64)
-    assert got.dtype == np.int64
+    assert got.dtype == np.float64       # entries of at most 3 keep every bound below 2^53
     assert np.array_equal(got, _einsum_reference(factors, domains, keep, np.int64))
 
 
@@ -173,6 +173,24 @@ def test_contract_large_integers_exact_past_int64(case):
     got = _run(factors, domains, keep, np.int64)
     want = _einsum_reference(factors, domains, keep, object)
     assert np.array_equal(np.asarray(got, dtype=object), np.asarray(want, dtype=object))
+
+
+def test_exact_sum_moves_up_through_float64_int64_object():
+    # totals 2^53 - 1, 2^53 + 1, 2^62 + 2^53 + 1, 2^63 + 2^53 + 1, 2^53 + 1
+    total, want = ExactSum((2,)), [0, 0]
+    for part, dtype in [(2 ** 53 - 1, np.float64), (2, np.int64), (2 ** 62, np.int64),
+                        (2 ** 62, object), (-(2 ** 63), object)]:
+        total.add(np.array([part, 1], dtype=object), abs(part))
+        want = [want[0] + part, want[1] + 1]
+        assert total.value.dtype == dtype
+        assert [int(v) for v in total.value] == want
+
+
+def test_exact_total_takes_its_dtype_from_the_bound():
+    x = np.array([2 ** 53, 1, 1])
+    assert int(x.astype(np.float64).sum()) == 2 ** 53
+    assert _exact_total(x, 2 ** 53 + 2) == 2 ** 53 + 2
+    assert _exact_total(x.astype(np.float64), 2 ** 53) == 2 ** 53   # bound <= 2^53: float64
 
 
 @settings(max_examples=300, deadline=None)
