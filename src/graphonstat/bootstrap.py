@@ -85,7 +85,7 @@ def multiplier_draws(g: Graph, motifs, branches, B: int, seed) -> BootstrapDraws
         else:
             vals = two_point_matrix(h, g).values
             forms.append(("dense", vals - vals.mean()))
-    out = _chaos_draws(np.random.default_rng(seed), n, B, forms)
+    out = _chaos_draws([(np.random.default_rng(seed), n)], B, forms)
     out /= [math.sqrt(n) if br == "linear" else n for br in branches]
     return BootstrapDraws(motifs, branches, out, B, seed)
 
@@ -99,7 +99,7 @@ def quadratic_spectral_draws(g: Graph, h: Motif, B: int, seed) -> np.ndarray:
     """
     vals = two_point_matrix(h, g).values
     lam = np.linalg.eigvalsh(vals - vals.mean())
-    out = _chaos_draws(np.random.default_rng(seed), len(lam), B, [("spectral", lam, None)])
+    out = _chaos_draws([(np.random.default_rng(seed), len(lam))], B, [("spectral", lam, None)])
     return out[:, 0] / g.n
 
 

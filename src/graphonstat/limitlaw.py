@@ -12,9 +12,13 @@ One core, `_chaos_draws`, evaluates linear, spectral and dense quadratic
 forms on shared blocks of standard normals; the limit-law samplers here and
 the multiplier bootstrap are setup around it.  `sample_limit` evaluates a
 regular coordinate in the spectral form sum_l lambda_l ((phi_l'z)^2 - 1) of
-K/m (the weighted chi-squared form of Bhattacharya, Chatterjee & Janson),
-so a draw costs O(rank * m); eigenvalues below SPECTRAL_CUT relative to the
-kernel bound are cut, with the bound on the cut part stated at `sample_limit`.
+K/m (the weighted chi-squared form of Bhattacharya, Chatterjee & Janson);
+eigenvalues below SPECTRAL_CUT relative to the kernel bound are cut, with the
+bound on the cut part stated at `sample_limit`.  Every coordinate reads z
+only through the irregular profiles g and the kept eigenvectors phi_l, so a
+draw costs d = (irregular motifs) + (kept ranks) normals, not m, on three
+substreams of the seed (listed at `sample_limit`); the irregular columns stay
+bit-identical whatever regular motifs ride along.
 
 A closed-form log moment generating function of any linear combination of the
 limit coordinates is provided as an independent numeric oracle: an absolutely
@@ -106,25 +110,30 @@ def _sigma_factor(sigma: CovMatrix | None, n_reg: int) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-def _chaos_draws(rng, dim: int, draws: int, forms) -> np.ndarray:
+def _chaos_draws(streams, draws: int, forms) -> np.ndarray:
     """Evaluate Gaussian-chaos forms on shared standard normal vectors.
 
-    Blocks of z = rng.standard_normal((dim, c)), c <= _CHUNK, are drawn in
-    order, so a seed fixes every z whatever the forms.  One output column per
-    form, one row per draw:
+    Each block z, c <= _CHUNK columns, stacks rng.standard_normal((dim, c))
+    of the (rng, dim) streams in order, so a seed fixes every z whatever the
+    forms.  A form reads the leading rows of z that its array spans, so its
+    values do not depend on the streams after those rows.  One output column
+    per form, one row per draw:
       ("linear", v)            v @ z
       ("spectral", lam, phi)   lam @ ((phi' z)^2 - 1); phi None is the identity
       ("dense", a)             z' a z - tr(a)
     """
+    rows = np.cumsum([0] + [dim for _, dim in streams])
     out = np.empty((draws, len(forms)))
     for start in range(0, draws, _CHUNK):
-        z = rng.standard_normal((dim, min(_CHUNK, draws - start)))
+        z = np.empty((rows[-1], min(_CHUNK, draws - start)))
+        for (rng, _), lo, hi in zip(streams, rows, rows[1:]):
+            rng.standard_normal(out=z[lo:hi])
         for j, (kind, *arrays) in enumerate(forms):
             if kind == "linear":
-                vals = arrays[0] @ z
+                vals = arrays[0] @ z[:len(arrays[0])]
             elif kind == "spectral":
                 lam, phi = arrays
-                y = z if phi is None else phi.T @ z
+                y = z if phi is None else phi.T @ z[:len(phi)]
                 vals = lam @ (y ** 2 - 1)
             else:
                 a = arrays[0]
@@ -150,9 +159,17 @@ def _regular_spectrum(h: Motif, w: Graphon, m: int):
 def sample_limit(spec: LimitSpec, draws: int, seed) -> np.ndarray:
     """Joint draws of the limit vector; one row per draw, one column per motif.
 
-    All coordinates of a draw share the same Brownian increments, and the
-    Gaussian block uses a separate substream, so removing a regular motif
-    from the spec leaves the remaining irregular columns bit-identical.
+    All coordinates of a draw read one Brownian path z ~ N(0, I_m), but only
+    through d = (irregular motifs) + (kept ranks) directions, so a draw
+    costs d standard normals, on three substreams of the seed:
+      0: u1 = Q1'z, Q1 from the Householder QR of the irregular profiles;
+         an irregular column with profile v is (Q1'v)'u1, so removing a
+         regular motif from the spec leaves it bit-identical;
+      1: the Gaussian block of the regular motifs;
+      2: u2, read as rest'z = S u2, where rest = phi - Q1 Q1'phi over all
+         kept eigenvectors phi and S = V diag(s) V' (thin SVD of rest) is the
+         symmetric square root of rest'rest, exact to rounding also when
+         regular motifs share eigenvectors; phi'z = (Q1'phi)'u1 + S u2.
     A regular coordinate keeps the eigenpairs of K/m with |lambda| above
     SPECTRAL_CUT * kernel_bound(h); the dropped part has standard deviation
     at most sqrt(2m) * SPECTRAL_CUT * kernel_bound(h).
@@ -160,15 +177,29 @@ def sample_limit(spec: LimitSpec, draws: int, seed) -> np.ndarray:
     m = spec.grid
     if m < 32:
         raise ValueError(f"grid must be >= 32, got {m}")
-    forms = [("spectral", *_regular_spectrum(h, spec.graphon, m)[:2]) if reg
-             else ("linear", linear_profile(h, spec.graphon, m) / np.sqrt(m))
-             for h, reg in zip(spec.motifs, spec.regular)]
-    sigma_fac = _sigma_factor(spec.sigma, sum(spec.regular))
-    eta_rng, g_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-    out = _chaos_draws(eta_rng, m, draws, forms)
+    w, reg = spec.graphon, np.asarray(spec.regular, dtype=bool)
+    profiles = [linear_profile(h, w, m) / np.sqrt(m)
+                for h, r in zip(spec.motifs, reg) if not r]
+    q1, r1 = np.linalg.qr(np.reshape(profiles, (len(profiles), m)).T)
+    spectra = [_regular_spectrum(h, w, m)[:2] for h in spec.regular_motifs]
+    phi = np.hstack([np.zeros((m, 0))] + [vecs for _, vecs in spectra])
+    proj = q1.T @ phi
+    rest = phi - q1 @ proj
+    _, sv, vt = np.linalg.svd(rest, full_matrices=False)
+    coef = np.vstack([proj, (vt.T * sv) @ vt])
+    cols = np.cumsum([0] + [len(lam) for lam, _ in spectra])
+    forms = [("linear", v) for v in r1.T] + [
+        ("spectral", lam, coef[:, lo:hi]) for (lam, _), lo, hi in zip(spectra, cols, cols[1:])]
+    eta_rng, g_rng, rest_rng = (np.random.default_rng(s)
+                                for s in np.random.SeedSequence(seed).spawn(3))
+    chaos = _chaos_draws([(eta_rng, len(profiles)), (rest_rng, cols[-1])], draws, forms)
+    out = np.empty_like(chaos)
+    out[:, ~reg] = chaos[:, :len(profiles)]
+    out[:, reg] = chaos[:, len(profiles):]
+    sigma_fac = _sigma_factor(spec.sigma, len(spectra))
     if len(sigma_fac):
-        out[:, np.asarray(spec.regular)] += _chaos_draws(
-            g_rng, len(sigma_fac), draws, [("linear", row) for row in sigma_fac])
+        out[:, reg] += _chaos_draws([(g_rng, len(sigma_fac))], draws,
+                                    [("linear", row) for row in sigma_fac])
     return out
 
 
@@ -208,8 +239,9 @@ def sample_marginal_regular(law: RegularMarginalLaw, draws: int, seed) -> np.nda
     The chi-squared part and the Gaussian part use two substreams of the seed.
     """
     chi_rng, g_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-    chi = _chaos_draws(chi_rng, len(law.spectrum), draws, [("spectral", law.spectrum, None)])
-    gauss = _chaos_draws(g_rng, 1, draws, [("linear", np.array([law.sigma]))])
+    chi = _chaos_draws([(chi_rng, len(law.spectrum))], draws,
+                       [("spectral", law.spectrum, None)])
+    gauss = _chaos_draws([(g_rng, 1)], draws, [("linear", np.array([law.sigma]))])
     return (chi + gauss)[:, 0]
 
 
@@ -313,5 +345,11 @@ def log_mgf_oracle(spec: LimitSpec, alpha, theta: float,
 
 
 def empirical_log_mgf(samples: np.ndarray, theta: float) -> float:
-    """log of the empirical moment generating function at theta."""
-    return float(np.log(np.mean(np.exp(theta * np.asarray(samples)))))
+    """log of the empirical moment generating function at theta.
+
+    Computed as max + log(mean(exp(theta x - max))), max the largest theta x,
+    so no exponent overflows.
+    """
+    x = theta * np.asarray(samples, dtype=float)
+    top = x.max()
+    return float(top + np.log(np.mean(np.exp(x - top))))

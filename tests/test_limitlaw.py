@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,9 +9,9 @@ from graphonstat import (K2, K3, LimitSpec, build_limit_spec, cycle,
                          empirical_log_mgf, gamma_matrix, graphon_by_name,
                          log_mgf_oracle, marginal_regular_law,
                          sample_limit, sample_marginal_regular, sigma_matrix)
-from graphonstat.graphon import conditional_kernel_2pt, degree_constant
-from graphonstat.limitlaw import (_CHUNK, _sigma_factor, centered_kernel, linear_profile,
-                                  mgf_radius_constant)
+from graphonstat.graphon import conditional_kernel_2pt, degree_constant, kernel_bound
+from graphonstat.limitlaw import (_CHUNK, SPECTRAL_CUT, _sigma_factor, centered_kernel,
+                                  linear_profile, mgf_radius_constant)
 
 
 class TestSpecConstruction:
@@ -92,26 +94,60 @@ class TestSampleLimit:
 
     @pytest.mark.parametrize("wname", ["paper-w2", "paper-w3"])
     def test_spectral_columns_match_dense_forms(self, wname):
-        # Rebuild the draws from the same standard normals with the dense
-        # quadratic form z'(K/m)z - tr(K/m) and the linear form g'z/sqrt(m)
+        # Rebuild a grid path z from the substreams the sampler documents:
+        # z = Q1 u1 + (I - Q1 Q1') P V' u2 with rest = P diag(s) V' (SVD), so
+        # that Q1'z = u1 and rest'z = V diag(s) V' u2 = S u2.  The columns are
+        # then the dense quadratic form z'(K/m)z - tr(K/m), plus the sum of
+        # the cut eigenvalues, and the linear form g'z/sqrt(m)
         m, draws, seed = 256, 5000, 53
-        spec = build_limit_spec([K2, K3], graphon_by_name(wname), grid=m)
+        w = graphon_by_name(wname)
+        spec = build_limit_spec([K2, K3], w, grid=m)
         assert sorted(spec.regular) == [False, True]
         got = sample_limit(spec, draws, seed)
-        eta_rng, g_rng = (np.random.default_rng(s)
-                          for s in np.random.SeedSequence(seed).spawn(2))
-        z = np.hstack([eta_rng.standard_normal((m, min(_CHUNK, draws - s)))
-                       for s in range(0, draws, _CHUNK)])
-        gauss = _sigma_factor(spec.sigma, 1) @ np.hstack(
-            [g_rng.standard_normal((1, min(_CHUNK, draws - s)))
-             for s in range(0, draws, _CHUNK)])
+        eta_rng, g_rng, rest_rng = (np.random.default_rng(s)
+                                    for s in np.random.SeedSequence(seed).spawn(3))
+
+        def stream(rng, dim):
+            return np.hstack([rng.standard_normal((dim, min(_CHUNK, draws - s)))
+                              for s in range(0, draws, _CHUNK)])
+
+        (h_irr,) = [h for h, reg in zip(spec.motifs, spec.regular) if not reg]
+        (h_reg,) = spec.regular_motifs
+        q1 = np.linalg.qr(linear_profile(h_irr, w, m)[:, None])[0]
+        a = centered_kernel(h_reg, w, m) / m
+        lam, phi = np.linalg.eigh(a)
+        keep = np.abs(lam) > SPECTRAL_CUT * kernel_bound(h_reg)
+        rest = phi[:, keep] - q1 @ (q1.T @ phi[:, keep])
+        p, _, vt = np.linalg.svd(rest, full_matrices=False)
+        z = q1 @ stream(eta_rng, 1) + (p - q1 @ (q1.T @ p)) @ vt @ stream(rest_rng, keep.sum())
+        gauss = _sigma_factor(spec.sigma, 1) @ stream(g_rng, 1)
         for j, (h, reg) in enumerate(zip(spec.motifs, spec.regular)):
             if reg:
-                a = centered_kernel(h, spec.graphon, m) / m
-                want = np.einsum("xc,xc->c", z, a @ z) - np.trace(a) + gauss[0]
+                want = (np.einsum("xc,xc->c", z, a @ z) - np.trace(a) + lam[~keep].sum()
+                        + gauss[0])
             else:
-                want = linear_profile(h, spec.graphon, m) @ z / np.sqrt(m)
+                want = linear_profile(h, w, m) @ z / np.sqrt(m)
             assert np.abs(got[:, j] - want).max() <= 1e-12 * got[:, j].std()
+
+    def test_regular_motifs_sharing_eigenvectors(self, w_two_community):
+        # On the three-block graphon K2 and C4 keep the same block
+        # eigenvectors, and K3's profile lies in their span, so the kept
+        # eigenvectors less their part along Q1 are linearly dependent.  Each
+        # regular column must still have the law's variance, and the pair the
+        # covariance 2 tr(A_K2 A_C4) + sigma_12
+        m, c4, w = 252, cycle(4), w_two_community
+        spec = build_limit_spec([K2, K3, c4], w, grid=m)
+        assert spec.regular == (True, False, True)
+        x = sample_limit(spec, 200_000, seed=59)
+        x -= x.mean(axis=0)
+        for j, h in ((0, K2), (2, c4)):
+            sq = x[:, j] ** 2
+            want = marginal_regular_law(h, w, m).variance()
+            assert abs(sq.mean() - want) < 5 * sq.std() / np.sqrt(len(sq))
+        a_k2, a_c4 = (centered_kernel(h, w, m) / m for h in (K2, c4))
+        want = 2 * np.trace(a_k2 @ a_c4) + spec.sigma.entries[0, 1]
+        prod = x[:, 0] * x[:, 2]
+        assert abs(prod.mean() - want) < 5 * prod.std() / np.sqrt(len(prod))
 
 
 class TestMarginalRegularLaw:
@@ -225,6 +261,12 @@ class TestLogMgfOracle:
         series = log_mgf_oracle(spec, alpha, theta)
         draws = sample_limit(spec, 400_000, seed=47) @ alpha
         assert abs(series - empirical_log_mgf(draws, theta)) < 0.01
+
+    def test_empirical_log_mgf_large_exponent(self):
+        # exp(800) overflows binary64; shifting by the largest exponent does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert empirical_log_mgf(np.array([800.0, 800.0]), 1.0) == 800.0
 
     def test_series_terms_use_kernel_paths(self, w_const_half):
         # second-order coefficient equals eta~/2 for a pure regular combo:
