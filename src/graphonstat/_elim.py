@@ -21,14 +21,16 @@ whose axes are the `keep` variables, every tensor is at most as large as the
 largest input factor or the product of two domains, so there is no size cap.
 
 Integer sums are exact by one rule, `_exact_dtype(bound)`: a sum whose
-entries are bounded by `bound` before it runs is taken in float64 (BLAS,
-exact for every integer up to 2^53) when the bound is at most 2^53, in int64
-when it is below 2^63, and in Python ints (object arrays; by then these are
-small vectors) otherwise.  A contraction step bounds its output by the
-product of its input entry bounds times the size of the domain it sums over;
-a running total (`ExactSum`) by the summed bounds of its parts; a reduction
-of an array (`_exact_total`) by the sum of its entry magnitudes.  Results
-keep the dtype the rule gave them.
+entries are bounded by `bound` before it runs is taken in float32 (sgemm) up
+to 2^24, in float64 (dgemm) up to 2^53, in int64 below 2^63, and in Python
+ints (object arrays; by then these are small vectors) beyond; each float
+type holds every integer up to its limit.  A contraction step bounds its
+output by the product of its input entry bounds times the size of the
+domain it sums over; a running total (`ExactSum`) by the summed bounds of
+its parts; a reduction of an array (`_exact_total`) by the sum of its entry
+magnitudes.  float32 stays inside the steps: the result of `contract`,
+`ExactSum` totals and `_exact_total` take `_result_dtype`, whose lowest tier
+is float64.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import math
 
 import numpy as np
 
+_FLOAT32_EXACT = 2 ** 24   # float32 holds every integer up to here
 _FLOAT_EXACT = 2 ** 53     # float64 holds every integer up to here
 _INT64_END = 2 ** 63       # int64 holds every integer below here
 
@@ -48,7 +51,7 @@ def contract(factors, domains, keep=()):
     array.shape matching their domain sizes; domains: dict var -> domain
     size; keep: ordered variables of the result.  Returns an ndarray indexed
     by `keep` (0-d if empty).  When every array has an integer dtype the sum
-    is exact, in the dtype `_exact_dtype` gives its bound: float64 holding
+    is exact, in the dtype `_result_dtype` gives its bound: float64 holding
     integers, int64, or an object array of Python ints.
     """
     factors = [(tuple(vs), np.asarray(arr)) for vs, arr in factors]
@@ -72,17 +75,18 @@ def contract(factors, domains, keep=()):
         items = [(vs, arr, None) for vs, arr in factors]
     touched = {v for vs, _ in factors for v in vs}
     for v in domains:
-        if v not in keep and v not in touched:
+        if v not in touched:
             items.append(((v,), np.ones(domains[v]), 1 if integer else None))
-    return _contract(items, domains, keep)[1]
+    _, out, bound = _contract(items, domains, keep)
+    return out if bound is None else _as_dtype(out, _result_dtype(bound))
 
 
 class ExactSum:
     """Running exact sum of integer arrays of one shape.
 
-    The total is held in `_exact_dtype` of the summed bounds of its parts,
+    The total is held in `_result_dtype` of the summed bounds of its parts,
     moved there before each part is added: every intermediate total is an
-    integer no larger than that bound.  Parts may arrive as float64 holding
+    integer no larger than that bound.  Parts may arrive as floats holding
     exact integers, int64 or object.
     """
 
@@ -93,14 +97,14 @@ class ExactSum:
     def add(self, part, bound: int, weight: int = 1, index=...):
         """Add weight * part (entries at most `bound` in magnitude) at `index`."""
         self.bound += abs(weight) * bound
-        self.value = _as_dtype(self.value, _exact_dtype(self.bound))
+        self.value = _as_dtype(self.value, _result_dtype(self.bound))
         self.value[index] += weight * _as_dtype(np.asarray(part), self.value.dtype)
 
 
 def _exact_total(x, bound: int) -> int:
     """Exact sum of an integer-valued array whose entry magnitudes sum to at
     most `bound`; every partial sum is then an integer of at most `bound`."""
-    return int(_as_dtype(x, _exact_dtype(bound)).sum())
+    return int(_as_dtype(x, _result_dtype(bound)).sum())
 
 
 def _max_abs(arr) -> int:
@@ -111,7 +115,12 @@ def _max_abs(arr) -> int:
 
 
 def _exact_dtype(bound: int):
-    """Cheapest dtype holding integers up to `bound` exactly; float64 gets BLAS."""
+    """Cheapest dtype holding integers up to `bound` exactly; floats get BLAS."""
+    return np.dtype(np.float32) if bound <= _FLOAT32_EXACT else _result_dtype(bound)
+
+
+def _result_dtype(bound: int):
+    """`_exact_dtype` with float64 as its lowest tier: the dtype of what leaves `_elim`."""
     if bound <= _FLOAT_EXACT:
         return np.dtype(np.float64)
     if bound < _INT64_END:
@@ -192,19 +201,14 @@ def _eliminate(group, v, domains):
 
 
 def _product(factors, keep, domains):
-    """Product of factors over keep variables only, as a tensor indexed by keep."""
+    """Product of factors as a tensor indexed by keep; each keep variable has a factor."""
     factors, bound = _step_dtype(factors, ())
-    shape = tuple(domains[u] for u in keep)
     out = None
     for vs, arr, _ in factors:
         order = sorted(range(len(vs)), key=lambda i: keep.index(vs[i]))
         arr = arr.transpose(order).reshape([domains[u] if u in vs else 1 for u in keep])
         out = arr if out is None else out * arr
-    if out is None or np.shape(out) != shape:
-        # keep variables that no factor mentions
-        ones = np.ones(shape, dtype=np.float64 if out is None else out.dtype)
-        out = ones if out is None else out * ones
-    return keep, np.asarray(out), bound
+    return keep, np.ones(()) if out is None else np.asarray(out), bound
 
 
 def _step_dtype(group, summed):

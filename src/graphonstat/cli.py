@@ -73,9 +73,12 @@ def write_csv(path: str, config: dict, header: list[str], rows,
     lines = [f"# config: {json.dumps(config, sort_keys=True)}",
              f"# version: {version_string()}",
              ",".join(header)]
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()            # Python scalars format without numpy dispatch
-    lines.extend(",".join([_fmt(x) for x in row]) for row in rows)
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f" and rows.size:
+        # one %-format over every cell: the bytes of `_fmt`, in about half the time
+        template = "\n".join([",".join(["%.17g"] * rows.shape[1])] * len(rows))
+        lines.append(template % tuple(rows.ravel().tolist()))
+    else:
+        lines.extend(",".join([_fmt(x) for x in row]) for row in rows)
     for c in footer_comments or []:
         lines.append(f"# {c}")
     text = "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._elim import ExactSum, _as_dtype, _exact_dtype, _exact_total, contract
+from ._elim import ExactSum, _as_dtype, _exact_total, _result_dtype, contract
 from .graphon import BlockGraphon, KernelMatrix, empirical_block_graphon
 from .motifs import (C4, K2, K3, K12, Motif, MotifSizeError, _canonical_form, _pin_orbits,
                      vertex_join)
@@ -217,7 +217,7 @@ def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
     pins are motif vertices whose images stay free output axes (a 0-d array
     when there are none); entries where two pins share an image are not
     counts, and the callers zero them.  Totals are exact, in the dtype
-    `_elim._exact_dtype` gives their bound: float64, int64 or Python ints.
+    `_elim._result_dtype` gives their bound: float64, int64 or Python ints.
     """
     total = ExactSum((g.n,) * len(pins))
     for edges, k, pin_blocks, mu in _spasm(h, pins):
@@ -260,7 +260,7 @@ def _closed_injective_total(name: str, g: Graph) -> int:
         return _exact_total(codeg * (codeg - 1), g.n ** 4)
     if name == "bowtie":
         tri = (a2 * a).sum(axis=1) // 2           # triangles at each vertex
-        tri = _as_dtype(tri, _exact_dtype(g.n ** 4))   # tri * (tri - 1) < n^4
+        tri = _as_dtype(tri, _result_dtype(g.n ** 4))   # tri * (tri - 1) < n^4
         per_vertex = _exact_total(tri * (tri - 1), g.n ** 5) // 2
         codeg = a2 * a                            # codegree restricted to edges
         per_edge = _exact_total(codeg * (codeg - 1), g.n ** 4) // 4

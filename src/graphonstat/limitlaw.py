@@ -149,10 +149,13 @@ def _regular_spectrum(h: Motif, w: Graphon, m: int):
     with |lam| above SPECTRAL_CUT * kernel_bound(h), and the degree residual
     max_x |(W_H 1)(x)/m - d_WH| = max |row sums of K/m|, which is 0 when w is
     h-regular (then K/m has the spectrum of W_H/m less its eigenvalue d_WH).
+    By Gershgorin no |lam| exceeds the largest absolute row sum: within the cut, no `eigh`.
     """
     a = centered_kernel(h, w, m) / m
-    lam, phi = np.linalg.eigh(a)
-    keep = np.abs(lam) > SPECTRAL_CUT * kernel_bound(h)
+    cut = SPECTRAL_CUT * kernel_bound(h)
+    lam, phi = (np.linalg.eigh(a) if np.abs(a).sum(axis=1).max() > cut
+                else (np.zeros(0), np.zeros((m, 0))))
+    keep = np.abs(lam) > cut
     return lam[keep], phi[:, keep], float(np.abs(a.sum(axis=1)).max())
 
 

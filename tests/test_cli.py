@@ -195,6 +195,22 @@ class TestCsvWriter:
             cli.write_csv(path, {}, ["p", "q", "r"], rows)
             assert open(path, "rb").read() == b"# config: {}\n# version: V\np,q,r\n" + body
 
+    def test_float_array_bytes_equal_the_cell_by_cell_path(self, tmp_path, monkeypatch):
+        # a float ndarray is formatted in one pass; a list of floats goes through `_fmt`
+        monkeypatch.setattr(cli, "version_string", lambda: "V")
+        nan, inf = float("nan"), float("inf")
+        draws = np.array([[-0.0, 1e-300, nan], [inf, -inf, 2.0 ** 53], [0.1, -2 / 3, 5e-324]])
+        whole, cells = str(tmp_path / "whole.csv"), str(tmp_path / "cells.csv")
+        cli.write_csv(whole, {}, ["p", "q", "r"], draws, footer_comments=["x=1"])
+        cli.write_csv(cells, {}, ["p", "q", "r"], draws.tolist(), footer_comments=["x=1"])
+        body = open(whole, "rb").read()
+        assert body == open(cells, "rb").read()
+        assert b"\n-0,1e-300,nan\ninf,-inf,9007199254740992\n" in body
+        for empty in (np.zeros((0, 3)), np.zeros((2, 0))):
+            cli.write_csv(whole, {}, ["p"], empty)
+            cli.write_csv(cells, {}, ["p"], empty.tolist())
+            assert open(whole, "rb").read() == open(cells, "rb").read()
+
 
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(graphonstat.__file__)))

@@ -81,6 +81,14 @@ class TestCountCopies:
         g = random_graph(8, 0.6, seed=3)
         assert count_copies(C4, g) == oracle_copies(C4, g)
 
+    def test_k4_against_itertools_at_40(self):
+        g = random_graph(40, 0.5, seed=3)
+        nbrs = [set(np.flatnonzero(row)) for row in g.adj]
+        brute = sum(all(v in nbrs[u] for u, v in itertools.combinations(quad, 2))
+                    for quad in itertools.combinations(range(g.n), 4))
+        assert brute > 0
+        assert count_copies(clique(4), g) == brute
+
     def test_triangle_free_cycle(self):
         c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         assert count_copies(K3, c5) == 0

@@ -10,8 +10,8 @@ from graphonstat import (K2, K3, LimitSpec, build_limit_spec, cycle,
                          log_mgf_oracle, marginal_regular_law,
                          sample_limit, sample_marginal_regular, sigma_matrix)
 from graphonstat.graphon import conditional_kernel_2pt, degree_constant, kernel_bound
-from graphonstat.limitlaw import (_CHUNK, SPECTRAL_CUT, _sigma_factor, centered_kernel,
-                                  linear_profile, mgf_radius_constant)
+from graphonstat.limitlaw import (_CHUNK, SPECTRAL_CUT, _regular_spectrum, _sigma_factor,
+                                  centered_kernel, linear_profile, mgf_radius_constant)
 
 
 class TestSpecConstruction:
@@ -214,6 +214,23 @@ class TestMarginalRegularLaw:
         w = (BlockGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]]) if wname == "half-block"
              else graphon_by_name(wname))
         assert marginal_regular_law(parse_motif(motif), w, grid=256).degeneracy_warning is warns
+
+    def test_spectrum_skips_eigh_when_no_eigenvalue_can_pass_the_cut(self, w_const_half,
+                                                                      monkeypatch):
+        # K is exactly 0 for K2 and K3 on const:0.5: by Gershgorin no |lambda|
+        # exceeds the cut, so no decomposition runs
+        eigh, calls = np.linalg.eigh, []
+
+        def refuse(a):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for h in (K2, K3):
+            lam, phi, residual = _regular_spectrum(h, w_const_half, 64)
+            assert lam.shape == (0,) and phi.shape == (64, 0) and residual == 0.0
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        lam, phi, _ = _regular_spectrum(K2, graphon_by_name("paper-w2"), 64)
+        assert len(calls) == 1 and len(lam) > 0 and phi.shape == (64, len(lam))
 
     def test_ks_against_sample_limit(self, w_const_half):
         for h in (K2, K3):

@@ -8,10 +8,10 @@ algebraic identities, not Monte-Carlo statements.
 import numpy as np
 import pytest
 
-from graphonstat import (K2, K3, C4, K12, conditional_1pt,
-                         conditional_kernel_2pt, constant_graphon, count_copies,
+from graphonstat import (K2, K3, C4, K12, clique, conditional_1pt,
+                         conditional_kernel_2pt, constant_graphon, count_copies, cycle,
                          edge_join, empirical_graphon, graphon_by_name,
-                         hom_density, one_point_density, two_point_matrix)
+                         hom_density, one_point_density, path, two_point_matrix)
 from graphonstat.graphon import kernel_bound
 
 from conftest import random_graph
@@ -112,7 +112,9 @@ def test_empirical_graphon_reproduces_all_maps_density():
 
 from hypothesis import given, settings, strategies as st
 
-from graphonstat._elim import ExactSum, _exact_total, contract
+import graphonstat._elim as _elim
+from graphonstat._elim import ExactSum, _exact_dtype, _exact_total, _result_dtype, contract
+from graphonstat.counting import _mobius_injective
 
 _VARS = "abcde"
 
@@ -161,8 +163,68 @@ def _run(factors, domains, keep, dtype):
 def test_contract_integer_matches_einsum_exactly(case):
     factors, domains, keep = case
     got = _run(factors, domains, keep, np.int64)
-    assert got.dtype == np.float64       # entries of at most 3 keep every bound below 2^53
+    # entries of at most 3 keep every bound below 2^53; steps bounded by 2^24 run
+    # in float32, but the result never leaves in it
+    assert got.dtype == np.float64
     assert np.array_equal(got, _einsum_reference(factors, domains, keep, np.int64))
+
+
+@pytest.mark.parametrize("h", [clique(4), path(4), cycle(5)], ids=["k4", "p4", "c5"])
+def test_no_public_result_is_float32(h):
+    # every step of these contractions is bounded by 2^24, so each runs in float32
+    g = GRAPHS[2]
+    results = [_mobius_injective(h, g), _mobius_injective(h, g, pins=(1,)),
+               _mobius_injective(h, g, pins=(1, 2)), one_point_density(h, g).x_a,
+               one_point_density(h, g).t_hat, two_point_matrix(h, g).values,
+               contract([(e, g.adj) for e in ((0, 1), (1, 2))], {0: g.n, 1: g.n, 2: g.n})]
+    assert [np.asarray(r).dtype for r in results] == [np.dtype(np.float64)] * len(results)
+    assert type(count_copies(h, g)) is int
+
+
+def test_exact_dtype_tiers():
+    assert np.float32(2 ** 24) + np.float32(1) == 2 ** 24   # 2^24 + 1 is no float32
+    assert _exact_dtype(2 ** 24) == np.float32
+    assert _exact_dtype(2 ** 24 + 1) == np.float64
+    assert _exact_dtype(2 ** 53) == np.float64
+    assert _exact_dtype(2 ** 53 + 1) == np.int64
+    assert _exact_dtype(2 ** 63) == object
+    assert _result_dtype(0) == _result_dtype(2 ** 24) == np.float64
+    assert _result_dtype(2 ** 53 + 1) == np.int64
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_lists(st.integers(-2 ** 8, 2 ** 8)))
+def test_contract_exact_across_the_float32_limit(case):
+    # Entries up to 2^8 put step bounds on both sides of 2^24.
+    factors, domains, keep = case
+    got = _run(factors, domains, keep, np.int64)
+    want = _einsum_reference(factors, domains, keep, object)
+    assert got.dtype != np.float32
+    assert np.array_equal(np.asarray(got, dtype=object), np.asarray(want, dtype=object))
+
+
+def test_contract_steps_go_from_float32_to_float64(monkeypatch):
+    # K4 factor graph, entries in [-64, 64], domains of 8: the first step of each
+    # slice is bounded by 64^3 * 8 = 2^21 (float32), the next by 2^21 * 64^2 * 8
+    # = 2^36 (float64); the result is checked against Python ints.
+    rng = np.random.default_rng(5)
+    names = "abcd"
+    factors = [((u, v), rng.integers(-64, 65, size=(8, 8)))
+               for i, u in enumerate(names) for v in names[i + 1:]]
+    domains = dict.fromkeys(names, 8)
+    seen, step = [], _elim._step_dtype
+
+    def spy(group, summed):
+        out, bound = step(group, summed)
+        seen.append(out[0][1].dtype)
+        return out, bound
+
+    monkeypatch.setattr(_elim, "_step_dtype", spy)
+    got = contract(factors, domains)
+    assert {np.dtype(np.float32), np.dtype(np.float64)} <= set(seen)
+    want = _einsum_reference([(vs, a.ravel().tolist(), a.shape) for vs, a in factors],
+                             domains, (), object)
+    assert got.dtype == np.float64 and int(got) == int(want)
 
 
 @settings(max_examples=150, deadline=None)
