@@ -173,9 +173,10 @@ def test_contract_integer_matches_einsum_exactly(case):
 def test_no_public_result_is_float32(h):
     # every step of these contractions is bounded by 2^24, so each runs in float32
     g = GRAPHS[2]
+    op = one_point_density(h, g)
     results = [_mobius_injective(h, g), _mobius_injective(h, g, pins=(1,)),
-               _mobius_injective(h, g, pins=(1, 2)), one_point_density(h, g).x_a,
-               one_point_density(h, g).t_hat, two_point_matrix(h, g).values,
+               _mobius_injective(h, g, pins=(1, 2)), op.x_a, op.t_hat,
+               two_point_matrix(h, g).values,
                contract([(e, g.adj) for e in ((0, 1), (1, 2))], {0: g.n, 1: g.n, 2: g.n})]
     assert [np.asarray(r).dtype for r in results] == [np.dtype(np.float64)] * len(results)
     assert type(count_copies(h, g)) is int
