@@ -28,7 +28,7 @@ from .graphon import QuadratureError, graphon_by_name, hom_density, sample_graph
 from .inference import (DEFAULT_REGULARITY_EXPONENT, DegenerateDensityError,
                         joint_confidence_set, marginal_ci, regularity_test,
                         structure_test)
-from .limitlaw import build_limit_spec, sample_limit
+from .limitlaw import DEFAULT_GRID, build_limit_spec, sample_limit
 from .motifs import Motif, MotifSizeError, parse_motif
 
 EXIT_CONFIG = 2
@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graphon", required=True)
     sp.add_argument("--motifs", required=True)
     sp.add_argument("--draws", type=_positive_int, required=True)
-    sp.add_argument("--grid", type=_positive_int, default=512)
+    sp.add_argument("--grid", type=_positive_int, default=DEFAULT_GRID, help="cap on quadrature "
+                    "nodes per axis (default %(default)s); a block graphon's law ignores it")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default="-")
 

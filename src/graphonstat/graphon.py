@@ -6,8 +6,9 @@ exact summation over block assignments) and smooth expressions
 (ExpressionGraphon, integrated by composite Gauss-Legendre quadrature).
 Empirical graphons of observed graphs are BlockGraphons with n equal blocks.
 Every graphon integral, plain or with pinned vertices, goes through one
-path, `_integrate`, which sums a BlockGraphon exactly and checks the
-quadrature of any other graphon by cell doubling, or raises.
+path, `_integrate`, on the nodes and weights `_discretize` picks: it sums a
+BlockGraphon exactly and checks the quadrature of any other graphon by cell
+doubling, or raises.  The limit law reads the same nodes and weights.
 
 On top of plain densities t(F,W) this module provides the pinned-vertex
 conditional densities, the 2-point conditional kernel, the regularity
@@ -162,39 +163,43 @@ def _hom_sum(mm: MultiMotif, w: Graphon, nodes, weights, pins=None):
     return out if keep else float(out)
 
 
-def _gauss_legendre(cells: int):
-    """Composite Gauss-Legendre rule on [0,1]: QUAD_DEGREE nodes in each of
-    `cells` equal cells, exact for polynomials of degree 2*QUAD_DEGREE-1 per cell."""
-    x, w = np.polynomial.legendre.leggauss(QUAD_DEGREE)
-    width = 1.0 / cells
-    nodes = (np.arange(cells)[:, None] * width + (x + 1)[None, :] / 2 * width).ravel()
-    return nodes, np.tile(w / 2 * width, cells)
+def _discretize(w: Graphon, evaluate, params=np.asarray,
+                cap: int = _MAX_CELLS * QUAD_DEGREE, what=lambda: "integral"):
+    """The one choice of nodes and weights: (nodes, weights, evaluate(nodes, weights)).
+
+    A BlockGraphon gets its block midpoints and sizes: exact for step functions.
+    Any other graphon gets composite Gauss-Legendre rules, QUAD_DEGREE nodes
+    per equal cell (exact to degree 2*QUAD_DEGREE-1 per cell), cells doubling from
+    QUAD_CELLS (fewer if `cap` nodes per axis leave no room to double) until
+    params(value) moves by at most QUAD_TOL * max(max|cur|, 1e-12); the finer
+    rule is returned.  Past `cap` nodes, QuadratureError naming what().
+    """
+    if isinstance(w, BlockGraphon):
+        nodes, weights = w.cum - w.sizes / 2, w.sizes
+        return nodes, weights, evaluate(nodes, weights)
+    gx, gw = np.polynomial.legendre.leggauss(QUAD_DEGREE)
+    cells, prev = min(QUAD_CELLS, cap // (2 * QUAD_DEGREE)), None
+    while 0 < cells * QUAD_DEGREE <= cap:
+        width = 1.0 / cells
+        nodes = (np.arange(cells)[:, None] * width + (gx + 1)[None, :] / 2 * width).ravel()
+        weights = np.tile(gw / 2 * width, cells)
+        value = evaluate(nodes, weights)
+        cur = params(value)
+        if prev is not None and np.max(np.abs(cur - prev), initial=0.0) <= \
+                QUAD_TOL * max(np.max(np.abs(cur), initial=0.0), 1e-12):
+            return nodes, weights, value
+        prev, cells = cur, 2 * cells
+    raise QuadratureError(
+        f"{what()} in {w.name!r} did not converge within {cap} points per axis; "
+        f"use a BlockGraphon for step-like kernels")
 
 
 def _integrate(mm: MultiMotif, w: Graphon, pins=None):
-    """The one checked path for graphon integrals: _hom_sum over all free vertices.
-
-    A BlockGraphon is summed exactly over its blocks.  Any other graphon is
-    integrated by composite Gauss-Legendre quadrature, doubling the cells from
-    QUAD_CELLS until max|cur - prev| <= QUAD_TOL * max(max|cur|, 1e-12), and
-    returning the finer value; QuadratureError at _MAX_CELLS.
-    """
-    if isinstance(w, BlockGraphon):
-        return _hom_sum(mm, w, w.cum - w.sizes / 2, w.sizes, pins)
-    cells = QUAD_CELLS
-    prev = _hom_sum(mm, w, *_gauss_legendre(cells), pins)
-    while True:
-        cells *= 2
-        cur = _hom_sum(mm, w, *_gauss_legendre(cells), pins)
-        if np.max(np.abs(cur - prev)) <= QUAD_TOL * max(np.max(np.abs(cur)), 1e-12):
-            return cur
-        if cells >= _MAX_CELLS:
-            pinned = f" with vertices {tuple(pins)} pinned" if pins else ""
-            raise QuadratureError(
-                f"integral of {mm!r}{pinned} in {w.name!r} did not converge at "
-                f"{cells * QUAD_DEGREE} points per axis; use a BlockGraphon "
-                f"for step-like kernels")
-        prev = cur
+    """The one checked path for graphon integrals: _hom_sum over all free vertices,
+    on the nodes and weights `_discretize` picks."""
+    pinned = f" with vertices {tuple(pins)} pinned" if pins else ""
+    return _discretize(w, lambda nodes, weights: _hom_sum(mm, w, nodes, weights, pins),
+                       what=lambda: f"integral of {mm!r}{pinned}")[2]
 
 
 def hom_density(f: Motif | MultiMotif, w: Graphon) -> float:
@@ -225,7 +230,7 @@ def tbar_1pt(h: Motif | MultiMotif, x, w: Graphon):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetric kernel on a grid: discretized W_H or the empirical 2-point matrix."""
+    """Symmetric kernel matrix: W_H at pairs of points, or a graph's 2-point matrix."""
 
     values: np.ndarray
     motif: Motif
@@ -235,10 +240,6 @@ class KernelMatrix:
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"kernel matrix must be square, got {v.shape}")
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
 
 
 def kernel_bound(h: Motif) -> float:
@@ -251,22 +252,20 @@ def degree_constant(h: Motif, w: Graphon) -> float:
     return kernel_bound(h) * hom_density(h, w)
 
 
-def conditional_kernel_2pt(h: Motif, w: Graphon, grid: int = 64) -> KernelMatrix:
-    """2-point conditional kernel W_H on an m x m midpoint grid.
+def conditional_kernel_2pt(h: Motif, w: Graphon, x) -> KernelMatrix:
+    """2-point conditional kernel W_H(x_i, x_j) at the evaluation points x.
 
     W_H(x,y) = (1/(2|Aut(h)|)) sum over ordered vertex pairs a != b of
     t_{a,b}(x,y,h,w); entries lie in [0, k(k-1)/(2|Aut|)].
     """
-    if grid < 2:
-        raise ValueError(f"need grid >= 2, got {grid}")
     mm = as_multimotif(h)
-    g = (np.arange(grid) + 0.5) / grid
-    total = np.zeros((grid, grid))
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    total = np.zeros((len(xs), len(xs)))
     for orbit in _pin_orbits(mm, 2):
         # an automorphism maps the first pair onto each member, in one order or
         # the other, and t_{b,a}(x,y) = t_{a,b}(y,x): each adds tab + tab.T,
         # so the total is exactly symmetric
-        tab = _integrate(mm, w, pins=dict.fromkeys(orbit[0], g))
+        tab = _integrate(mm, w, pins=dict.fromkeys(orbit[0], xs))
         total += len(orbit) * (tab + tab.T)
     return KernelMatrix(total / (2 * h.aut), h, kind="graphon")
 

@@ -274,8 +274,7 @@ class StructureAltParams:
     coefficients: tuple[float, float] | None = None
 
 
-def structure_alt_params(w: Graphon, tol: float = REGULARITY_TOL,
-                         grid: int = 256) -> StructureAltParams:
+def structure_alt_params(w: Graphon, tol: float = REGULARITY_TOL) -> StructureAltParams:
     """Classify w by K2/C4 regularity and return the matching f_hat limit.
 
     Case 1: both irregular; case 2: K2-irregular, C4-regular; case 3: K2-regular,
@@ -300,7 +299,7 @@ def structure_alt_params(w: Graphon, tol: float = REGULARITY_TOL,
         return StructureAltParams(case=2, tau_sq=grad2 ** 2 * r_k2, **common)
     if k2_reg and not c4_reg:
         return StructureAltParams(case=3, tau_sq=r_c4, **common)
-    spec = build_limit_spec([K2, C4], w, grid=grid, tol=tol)
+    spec = build_limit_spec([K2, C4], w, tol=tol)
     coeff = (grad2 * K2.aut, -1.0 * C4.aut)
     return StructureAltParams(case=4, tau_sq=None, limit_spec=spec,
                               coefficients=coeff, **common)

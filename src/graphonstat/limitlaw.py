@@ -2,23 +2,21 @@
 
 The limit of the count vector (after per-motif scaling) couples linear and
 bilinear Wiener-Ito integrals driven by one Brownian motion with an
-independent Gaussian block.  On a grid of m cells the Brownian increments
-become z_i / sqrt(m) with z iid N(0, 1); an irregular motif contributes the
-linear form g'z / sqrt(m) and a regular motif the quadratic form
-z'(K/m)z - tr(K/m) plus its Gaussian coordinate.  Subtracting the trace
-implements the Wiener-Ito exclusion of diagonal squares on the grid.
+independent Gaussian block.  The law is read on the nodes x_i and weights w_i
+that `graphon._discretize` picks for every graphon integral: exact on the
+blocks of a step graphon, a settled Gauss-Legendre rule (Nystrom method)
+otherwise.  With z iid N(0, 1) over the nodes, an irregular motif gives the
+linear form g'z, g_i = sqrt(w_i) g(x_i), and a regular motif the quadratic
+form z'Az - tr(A), A = D^1/2 K D^1/2 for its centered kernel K at the nodes
+and D = diag(w), plus its Gaussian coordinate; subtracting the trace is the
+Wiener-Ito exclusion of diagonal squares.
 
 One core, `_chaos_draws`, evaluates linear, spectral and dense quadratic
 forms on shared blocks of standard normals; the limit-law samplers here and
-the multiplier bootstrap are setup around it.  `sample_limit` evaluates a
-regular coordinate in the spectral form sum_l lambda_l ((phi_l'z)^2 - 1) of
-K/m (the weighted chi-squared form of Bhattacharya, Chatterjee & Janson);
-eigenvalues below SPECTRAL_CUT relative to the kernel bound are cut, with the
-bound on the cut part stated at `sample_limit`.  Every coordinate reads z
-only through the irregular profiles g and the kept eigenvectors phi_l, so a
-draw costs d = (irregular motifs) + (kept ranks) normals, not m, on three
-substreams of the seed (listed at `sample_limit`); the irregular columns stay
-bit-identical whatever regular motifs ride along.
+the multiplier bootstrap are setup around it.  `sample_limit` draws a regular
+coordinate in the spectral form of A (the weighted chi-squared form of
+Bhattacharya, Chatterjee & Janson) and reads z only through d = (irregular
+motifs) + (kept ranks) directions, listed at `sample_limit`.
 
 A closed-form log moment generating function of any linear combination of the
 limit coordinates is provided as an independent numeric oracle: an absolutely
@@ -31,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import (CovMatrix, Graphon, _join_density_cached, conditional_kernel_2pt,
-                      degree_constant, gamma_matrix, hom_density, kernel_bound,
-                      regularity_R_graphon, sigma_matrix, tbar_1pt)
+from .graphon import (_MAX_CELLS, QUAD_DEGREE, CovMatrix, Graphon, _discretize,
+                      _join_density_cached, conditional_kernel_2pt, degree_constant,
+                      gamma_matrix, hom_density, kernel_bound, regularity_R_graphon,
+                      sigma_matrix, tbar_1pt)
 from .motifs import Motif, edge_join
 
-DEFAULT_SAMPLE_GRID = 512
-DEFAULT_SPECTRUM_GRID = 256
+DEFAULT_GRID = _MAX_CELLS * QUAD_DEGREE   # cap on quadrature nodes per axis
 REGULARITY_TOL = 1e-9
 _PSD_TOL = 1e-8
 SPECTRAL_CUT = 1e-12
@@ -49,13 +47,14 @@ class LimitSpec:
     """Everything needed to sample the joint limit of a motif collection.
 
     regular[i] says whether the graphon is H_i-regular (quadratic marginal);
-    sigma is the Gaussian-block covariance over the regular motifs.
+    sigma is the Gaussian-block covariance over the regular motifs; grid caps
+    the Gauss-Legendre nodes per axis (a block graphon's law ignores it).
     """
 
     motifs: tuple[Motif, ...]
     regular: tuple[bool, ...]
     graphon: Graphon
-    grid: int = DEFAULT_SAMPLE_GRID
+    grid: int = DEFAULT_GRID
     sigma: CovMatrix | None = None
 
     def __post_init__(self):
@@ -69,12 +68,8 @@ class LimitSpec:
     def r(self) -> int:
         return len(self.motifs)
 
-    @property
-    def regular_motifs(self) -> tuple[Motif, ...]:
-        return tuple(h for h, reg in zip(self.motifs, self.regular) if reg)
 
-
-def build_limit_spec(motifs, w: Graphon, grid: int = DEFAULT_SAMPLE_GRID,
+def build_limit_spec(motifs, w: Graphon, grid: int = DEFAULT_GRID,
                      tol: float = REGULARITY_TOL) -> LimitSpec:
     """Classify each motif by the regularity functional and fill in sigma."""
     motifs = tuple(motifs)
@@ -84,19 +79,51 @@ def build_limit_spec(motifs, w: Graphon, grid: int = DEFAULT_SAMPLE_GRID,
     return LimitSpec(motifs, regular, w, grid, sigma)
 
 
-def linear_profile(h: Motif, w: Graphon, grid: int) -> np.ndarray:
-    """Integrand of the irregular marginal on grid midpoints.
+def linear_profile(h: Motif, w: Graphon, x) -> np.ndarray:
+    """Integrand of the irregular marginal at the points x.
 
     g(x) = (1/|Aut|) sum_a t_a(x,h,w) - (|V|/|Aut|) t(h,w); integral of g^2 is
     the Gaussian limit variance of the scaled centered count.
     """
-    x = (np.arange(grid) + 0.5) / grid
     return h.k * (tbar_1pt(h, x, w) - hom_density(h, w)) / h.aut
 
 
-def centered_kernel(h: Motif, w: Graphon, grid: int) -> np.ndarray:
-    """W_H on the grid minus the constant |V|(|V|-1) t(h,w) / (2|Aut|)."""
-    return conditional_kernel_2pt(h, w, grid).values - degree_constant(h, w)
+def centered_kernel(h: Motif, w: Graphon, x) -> np.ndarray:
+    """W_H at the points x minus the constant |V|(|V|-1) t(h,w) / (2|Aut|)."""
+    return conditional_kernel_2pt(h, w, x).values - degree_constant(h, w)
+
+
+def _regular_spectrum(h: Motif, w: Graphon, x, weights):
+    """The eigenpairs (lam, phi) of A = D^1/2 K D^1/2, K = centered_kernel(h, w, x),
+    with |lam| above SPECTRAL_CUT * kernel_bound(h), and the degree residual
+    max_i |(W_H 1)(x_i) - d_WH|, 0 when w is h-regular (then A has the
+    spectrum of W_H less its eigenvalue d_WH)."""
+    k = centered_kernel(h, w, x)
+    root = np.sqrt(weights)
+    lam, phi = np.linalg.eigh(root[:, None] * k * root)
+    keep = np.abs(lam) > SPECTRAL_CUT * kernel_bound(h)
+    return lam[keep], phi[:, keep], float(np.abs(k @ weights).max())
+
+
+def _law_on_nodes(motifs, regular, w: Graphon, grid: int):
+    """(profiles, spectra) on the nodes `_discretize` picks, at most `grid` per axis:
+    a row sqrt(w_i) g(x_i) per irregular motif, `_regular_spectrum` per regular
+    one; a Gauss-Legendre rule refines until the Gram matrix of the profiles and
+    every kept spectrum (zero-padded and sorted, so lengths may differ) settle."""
+    irregular = [h for h, r in zip(motifs, regular) if not r]
+    regulars = [h for h, r in zip(motifs, regular) if r]
+
+    def evaluate(x, weights):
+        profiles = np.reshape([np.sqrt(weights) * linear_profile(h, w, x) for h in irregular],
+                              (len(irregular), len(x)))
+        return profiles, [_regular_spectrum(h, w, x, weights) for h in regulars]
+
+    def params(law):
+        profiles, spectra = law
+        return np.concatenate([(profiles @ profiles.T).ravel()] + [
+            np.sort(np.concatenate([lam, np.zeros(grid - len(lam))])) for lam, _, _ in spectra])
+
+    return _discretize(w, evaluate, params, grid, lambda: f"limit law of {len(motifs)} motifs")[2]
 
 
 def _sigma_factor(sigma: CovMatrix | None, n_reg: int) -> np.ndarray:
@@ -142,60 +169,39 @@ def _chaos_draws(streams, draws: int, forms) -> np.ndarray:
     return out
 
 
-def _regular_spectrum(h: Motif, w: Graphon, m: int):
-    """The one spectral decomposition of a regular motif on an m-cell grid.
-
-    Returns the eigenpairs (lam, phi) of K/m, K = centered_kernel(h, w, m),
-    with |lam| above SPECTRAL_CUT * kernel_bound(h), and the degree residual
-    max_x |(W_H 1)(x)/m - d_WH| = max |row sums of K/m|, which is 0 when w is
-    h-regular (then K/m has the spectrum of W_H/m less its eigenvalue d_WH).
-    By Gershgorin no |lam| exceeds the largest absolute row sum: within the cut, no `eigh`.
-    """
-    a = centered_kernel(h, w, m) / m
-    cut = SPECTRAL_CUT * kernel_bound(h)
-    lam, phi = (np.linalg.eigh(a) if np.abs(a).sum(axis=1).max() > cut
-                else (np.zeros(0), np.zeros((m, 0))))
-    keep = np.abs(lam) > cut
-    return lam[keep], phi[:, keep], float(np.abs(a.sum(axis=1)).max())
-
-
 def sample_limit(spec: LimitSpec, draws: int, seed) -> np.ndarray:
     """Joint draws of the limit vector; one row per draw, one column per motif.
 
-    All coordinates of a draw read one Brownian path z ~ N(0, I_m), but only
-    through d = (irregular motifs) + (kept ranks) directions, so a draw
-    costs d standard normals, on three substreams of the seed:
-      0: u1 = Q1'z, Q1 from the Householder QR of the irregular profiles;
-         an irregular column with profile v is (Q1'v)'u1, so removing a
-         regular motif from the spec leaves it bit-identical;
+    All coordinates of a draw read one Brownian path z ~ N(0, I_q) over the
+    q nodes of `_law_on_nodes`, but only through d = (irregular motifs) +
+    (kept ranks) directions, so a draw costs d standard normals, on three
+    substreams of the seed:
+      0: u1 = Q1'z, Q1 from the Householder QR of the scaled irregular
+         profiles; an irregular column with profile v is (Q1'v)'u1, so
+         removing a regular motif from the spec leaves it bit-identical;
       1: the Gaussian block of the regular motifs;
       2: u2, read as rest'z = S u2, where rest = phi - Q1 Q1'phi over all
          kept eigenvectors phi and S = V diag(s) V' (thin SVD of rest) is the
          symmetric square root of rest'rest, exact to rounding also when
          regular motifs share eigenvectors; phi'z = (Q1'phi)'u1 + S u2.
-    A regular coordinate keeps the eigenpairs of K/m with |lambda| above
-    SPECTRAL_CUT * kernel_bound(h); the dropped part has standard deviation
-    at most sqrt(2m) * SPECTRAL_CUT * kernel_bound(h).
+    A regular coordinate keeps the eigenpairs of A = D^1/2 K D^1/2 with
+    |lambda| above SPECTRAL_CUT * kernel_bound(h); the dropped part has
+    standard deviation at most sqrt(2q) * SPECTRAL_CUT * kernel_bound(h).
     """
-    m = spec.grid
-    if m < 32:
-        raise ValueError(f"grid must be >= 32, got {m}")
-    w, reg = spec.graphon, np.asarray(spec.regular, dtype=bool)
-    profiles = [linear_profile(h, w, m) / np.sqrt(m)
-                for h, r in zip(spec.motifs, reg) if not r]
-    q1, r1 = np.linalg.qr(np.reshape(profiles, (len(profiles), m)).T)
-    spectra = [_regular_spectrum(h, w, m)[:2] for h in spec.regular_motifs]
-    phi = np.hstack([np.zeros((m, 0))] + [vecs for _, vecs in spectra])
+    reg = np.asarray(spec.regular, dtype=bool)
+    profiles, spectra = _law_on_nodes(spec.motifs, reg, spec.graphon, spec.grid)
+    q1, r1 = np.linalg.qr(profiles.T)
+    phi = np.hstack([np.zeros((len(q1), 0))] + [vecs for _, vecs, _ in spectra])
     proj = q1.T @ phi
     rest = phi - q1 @ proj
     _, sv, vt = np.linalg.svd(rest, full_matrices=False)
     coef = np.vstack([proj, (vt.T * sv) @ vt])
-    cols = np.cumsum([0] + [len(lam) for lam, _ in spectra])
+    cols = np.cumsum([0] + [len(lam) for lam, _, _ in spectra])
     forms = [("linear", v) for v in r1.T] + [
-        ("spectral", lam, coef[:, lo:hi]) for (lam, _), lo, hi in zip(spectra, cols, cols[1:])]
+        ("spectral", lam, coef[:, lo:hi]) for (lam, _, _), lo, hi in zip(spectra, cols, cols[1:])]
     eta_rng, g_rng, rest_rng = (np.random.default_rng(s)
                                 for s in np.random.SeedSequence(seed).spawn(3))
-    chaos = _chaos_draws([(eta_rng, len(profiles)), (rest_rng, cols[-1])], draws, forms)
+    chaos = _chaos_draws([(eta_rng, q1.shape[1]), (rest_rng, cols[-1])], draws, forms)
     out = np.empty_like(chaos)
     out[:, ~reg] = chaos[:, :len(profiles)]
     out[:, reg] = chaos[:, len(profiles):]
@@ -212,28 +218,26 @@ class RegularMarginalLaw:
 
     motif: Motif
     sigma: float                  # standard deviation of the Gaussian part
-    spectrum: np.ndarray          # kept eigenvalues of the centered kernel K/m
+    spectrum: np.ndarray          # kept eigenvalues of A = D^1/2 K D^1/2
     d_wh: float
     degeneracy_warning: bool
-    grid: int
 
     def variance(self) -> float:
         return self.sigma ** 2 + 2 * float((self.spectrum ** 2).sum())
 
 
-def marginal_regular_law(h: Motif, w: Graphon,
-                         grid: int = DEFAULT_SPECTRUM_GRID) -> RegularMarginalLaw:
+def marginal_regular_law(h: Motif, w: Graphon, grid: int = DEFAULT_GRID) -> RegularMarginalLaw:
     """Marginal law of a regular motif: Gaussian std plus the kept spectrum.
 
-    The spectrum is the one `sample_limit` draws from (`_regular_spectrum`).
+    The spectrum is the one `sample_limit` draws from (`_law_on_nodes`).
     The warning flag is set when the degree residual exceeds 0.05 |d_WH|: W_H
     is then far from having constant degree d_WH, so h is not regular in w.
     """
-    spectrum, _, residual = _regular_spectrum(h, w, grid)
+    _, [(spectrum, _, residual)] = _law_on_nodes([h], [True], w, grid)
     d = degree_constant(h, w)
     var = sigma_matrix([h], w).entries[0, 0]
     sigma = float(np.sqrt(max(var, 0.0)))
-    return RegularMarginalLaw(h, sigma, spectrum, d, residual > 0.05 * abs(d), grid)
+    return RegularMarginalLaw(h, sigma, spectrum, d, residual > 0.05 * abs(d))
 
 
 def sample_marginal_regular(law: RegularMarginalLaw, draws: int, seed) -> np.ndarray:
@@ -303,8 +307,10 @@ def log_mgf_oracle(spec: LimitSpec, alpha, theta: float,
     """log E[exp(theta alpha' Z)] via the absolutely convergent series.
 
     Quadratic term (eta + eta~) theta^2/2 from join densities, then for L >= 1
-    the V' U^(L) V terms (path compositions of the combined kernel evaluated
-    by iterated grid matrix products) and for L >= 3 the cycle-trace terms.
+    the v' A^L v terms (path compositions of the combined kernel by iterated
+    matrix products) and for L >= 3 the cycle-trace terms, on the nodes of
+    `_law_on_nodes`: A = sum_i alpha_i A_i over the kept eigenpairs of the
+    regular motifs, v = sum_i alpha_i g_i over the irregular profiles.
     Requires |theta| < 1/(32 C); any theta is allowed when C = 0.
     """
     alpha = np.asarray(alpha, dtype=float)
@@ -318,26 +324,20 @@ def log_mgf_oracle(spec: LimitSpec, alpha, theta: float,
         return 0.0
 
     total = (_eta_irregular(spec, alpha) + _eta_regular(spec, alpha)) * theta ** 2 / 2
-
-    reg_idx = [i for i, reg in enumerate(spec.regular) if reg]
-    if not reg_idx:
+    reg = np.asarray(spec.regular, dtype=bool)
+    if not reg.any():
         return float(total)
 
-    m = spec.grid
-    u = np.zeros((m, m))
-    for i in reg_idx:
-        u += alpha[i] * centered_kernel(spec.motifs[i], spec.graphon, m)
-    v = np.zeros(m)
-    for i, reg in enumerate(spec.regular):
-        if not reg and alpha[i] != 0:
-            v += alpha[i] * linear_profile(spec.motifs[i], spec.graphon, m)
-
-    a_op = u / m
+    profiles, spectra = _law_on_nodes(spec.motifs, reg, spec.graphon, spec.grid)
+    v = alpha[~reg] @ profiles
+    a_op = np.zeros((len(v), len(v)))
+    for a, (lam, phi, _) in zip(alpha[reg], spectra):
+        a_op += a * (phi * lam) @ phi.T
     lam = np.linalg.eigvalsh(a_op)
     w_l = v.copy()
     for ell in range(1, max_terms + 1):
         w_l = a_op @ w_l
-        term_v = 2.0 ** (ell - 1) * theta ** (ell + 2) * float(v @ w_l) / m
+        term_v = 2.0 ** (ell - 1) * theta ** (ell + 2) * float(v @ w_l)
         term_t = 0.0
         if ell >= 3:
             term_t = 0.5 * (2 * theta) ** ell / ell * float((lam ** ell).sum())

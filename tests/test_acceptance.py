@@ -257,7 +257,7 @@ def test_criterion_10_property_suites():
     m = 48
     grid = (np.arange(m) + 0.5) / m
     for h in (K2, K3, K12):
-        kern = conditional_kernel_2pt(h, graphon_by_name("paper-w1"), grid=m)
+        kern = conditional_kernel_2pt(h, graphon_by_name("paper-w1"), grid)
         rows = kern.values.mean(axis=1)
         target = (h.k - 1) / (2 * h.aut) * sum(
             conditional_1pt(h, a, grid, graphon_by_name("paper-w1"))

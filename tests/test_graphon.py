@@ -111,7 +111,7 @@ class TestHomDensity:
         lambda w: hom_density(K3, w),
         lambda w: conditional_1pt(K3, 1, 0.3001, w),
         lambda w: tbar_1pt(K3, 0.3001, w),
-        lambda w: conditional_kernel_2pt(K3, w),
+        lambda w: conditional_kernel_2pt(K3, w, [0.3001, 0.7]),
     ], ids=["hom_density", "conditional_1pt", "tbar_1pt", "conditional_kernel_2pt"])
     def test_quadrature_convergence_error_for_misaligned_step(self, integral):
         # a jump off the cell grid never meets the refinement tolerance, so
@@ -173,15 +173,15 @@ class TestConditionalDensities:
 class TestTwoPointKernel:
     def test_edge_kernel_is_half_graphon(self, w_affine):
         m = 16
-        kern = conditional_kernel_2pt(K2, w_affine, grid=m)
         g = (np.arange(m) + 0.5) / m
+        kern = conditional_kernel_2pt(K2, w_affine, g)
         assert np.allclose(kern.values, w_affine.eval(g[:, None], g[None, :]) / 2,
                            atol=1e-12)
 
     def test_triangle_kernel_closed_form(self, w_affine):
         m = 12
-        kern = conditional_kernel_2pt(K3, w_affine, grid=m)
         g = (np.arange(m) + 0.5) / m
+        kern = conditional_kernel_2pt(K3, w_affine, g)
         # (1/2) W(x,y) int W(x,z) W(z,y) dz with W = (x+y)/2
         xx, yy = np.meshgrid(g, g, indexing="ij")
         inner = (xx * yy / 4 + (xx + yy) / 8 + 1 / 12)
@@ -190,8 +190,8 @@ class TestTwoPointKernel:
 
     def test_two_star_kernel_closed_form(self, w_affine):
         m = 10
-        kern = conditional_kernel_2pt(K12, w_affine, grid=m)
         g = (np.arange(m) + 0.5) / m
+        kern = conditional_kernel_2pt(K12, w_affine, g)
         xx, yy = np.meshgrid(g, g, indexing="ij")
         inner = (xx * yy / 4 + (xx + yy) / 8 + 1 / 12)
         d = lambda v: 0.5 * (v + 0.5)
@@ -200,7 +200,7 @@ class TestTwoPointKernel:
 
     def test_symmetry_and_bounds(self, w_two_community):
         for h in (K2, K3, C4, K12):
-            kern = conditional_kernel_2pt(h, w_two_community, grid=24)
+            kern = conditional_kernel_2pt(h, w_two_community, (np.arange(24) + 0.5) / 24)
             assert np.allclose(kern.values, kern.values.T, atol=1e-12)
             assert kern.values.min() >= -1e-12
             assert kern.values.max() <= kernel_bound(h) + 1e-12
@@ -209,7 +209,8 @@ class TestTwoPointKernel:
     @pytest.mark.parametrize("h", [K2, K3, C4, path(4)], ids=["k2", "k3", "c4", "p4"])
     def test_exactly_symmetric(self, h, name):
         # each pin orbit adds tab + tab.T, so no symmetrizing pass is needed
-        v = conditional_kernel_2pt(h, graphon_by_name(name), grid=64).values
+        v = conditional_kernel_2pt(h, graphon_by_name(name),
+                                  (np.arange(64) + 0.5) / 64).values
         assert np.array_equal(v, v.T)
 
     def test_degree_identity(self, w_affine):
@@ -217,7 +218,7 @@ class TestTwoPointKernel:
         m = 64
         g = (np.arange(m) + 0.5) / m
         for h in (K2, K3, K12):
-            kern = conditional_kernel_2pt(h, w_affine, grid=m)
+            kern = conditional_kernel_2pt(h, w_affine, g)
             rows = kern.values.mean(axis=1)
             target = (h.k - 1) / (2 * h.aut) * sum(
                 conditional_1pt(h, a, g, w_affine) for a in range(1, h.k + 1))
@@ -225,7 +226,7 @@ class TestTwoPointKernel:
 
     def test_regular_kernel_has_constant_degree(self, w_const_half):
         m = 32
-        kern = conditional_kernel_2pt(K3, w_const_half, grid=m)
+        kern = conditional_kernel_2pt(K3, w_const_half, (np.arange(m) + 0.5) / m)
         d = degree_constant(K3, w_const_half)
         assert np.allclose(kern.values.mean(axis=1), d, atol=1e-10)
 

@@ -5,13 +5,24 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from graphonstat import (K2, K3, LimitSpec, build_limit_spec, cycle,
+from graphonstat import (K2, K3, K12, LimitSpec, build_limit_spec, cycle,
                          empirical_log_mgf, gamma_matrix, graphon_by_name,
                          log_mgf_oracle, marginal_regular_law,
                          sample_limit, sample_marginal_regular, sigma_matrix)
-from graphonstat.graphon import conditional_kernel_2pt, degree_constant, kernel_bound
-from graphonstat.limitlaw import (_CHUNK, SPECTRAL_CUT, _regular_spectrum, _sigma_factor,
-                                  centered_kernel, linear_profile, mgf_radius_constant)
+from graphonstat.graphon import (QuadratureError, conditional_kernel_2pt, degree_constant,
+                                 kernel_bound)
+from graphonstat.limitlaw import (_CHUNK, SPECTRAL_CUT, _eta_regular, _law_on_nodes,
+                                  _regular_spectrum, _sigma_factor, centered_kernel,
+                                  linear_profile, mgf_radius_constant)
+
+
+def midpoints(m):
+    return (np.arange(m) + 0.5) / m
+
+
+def block_rule(w):
+    """The nodes and weights of a block graphon's exact rule."""
+    return w.cum - w.sizes / 2, w.sizes
 
 
 class TestSpecConstruction:
@@ -73,10 +84,16 @@ class TestSampleLimit:
             se = draws[:, j].std() / np.sqrt(len(draws))
             assert abs(draws[:, j].mean()) < 4 * se
 
-    def test_grid_floor(self, w_const_half):
-        spec = build_limit_spec([K2], w_const_half, grid=16)
-        with pytest.raises(ValueError):
-            sample_limit(spec, 10, seed=1)
+    def test_block_law_ignores_grid_cap(self, w_two_community, w_affine):
+        # a block graphon's law is exact on its blocks, so even a cap of 16
+        # nodes draws the same rows as the default; a Gauss-Legendre rule
+        # needs room for one doubling from 4 nodes, or raises
+        motifs = [K2, K3, cycle(4)]
+        a = sample_limit(build_limit_spec(motifs, w_two_community, grid=16), 10, seed=1)
+        b = sample_limit(build_limit_spec(motifs, w_two_community), 10, seed=1)
+        assert np.array_equal(a, b)
+        with pytest.raises(QuadratureError):
+            sample_limit(build_limit_spec([K2], w_affine, grid=4), 10, seed=1)
 
     def test_non_psd_sigma_rejected(self, w_const_half):
         from graphonstat import CovMatrix
@@ -94,13 +111,15 @@ class TestSampleLimit:
 
     @pytest.mark.parametrize("wname", ["paper-w2", "paper-w3"])
     def test_spectral_columns_match_dense_forms(self, wname):
-        # Rebuild a grid path z from the substreams the sampler documents:
+        # Rebuild a path z over the block midpoints x (weights D = block
+        # sizes) from the substreams the sampler documents:
         # z = Q1 u1 + (I - Q1 Q1') P V' u2 with rest = P diag(s) V' (SVD), so
         # that Q1'z = u1 and rest'z = V diag(s) V' u2 = S u2.  The columns are
-        # then the dense quadratic form z'(K/m)z - tr(K/m), plus the sum of
-        # the cut eigenvalues, and the linear form g'z/sqrt(m)
+        # then the dense quadratic form z'Az - tr(A), A = D^1/2 K D^1/2, plus
+        # the sum of the cut eigenvalues, and the linear form (D^1/2 g)'z
         m, draws, seed = 256, 5000, 53
         w = graphon_by_name(wname)
+        x, root = block_rule(w)[0], np.sqrt(block_rule(w)[1])
         spec = build_limit_spec([K2, K3], w, grid=m)
         assert sorted(spec.regular) == [False, True]
         got = sample_limit(spec, draws, seed)
@@ -112,9 +131,9 @@ class TestSampleLimit:
                               for s in range(0, draws, _CHUNK)])
 
         (h_irr,) = [h for h, reg in zip(spec.motifs, spec.regular) if not reg]
-        (h_reg,) = spec.regular_motifs
-        q1 = np.linalg.qr(linear_profile(h_irr, w, m)[:, None])[0]
-        a = centered_kernel(h_reg, w, m) / m
+        (h_reg,) = [h for h, reg in zip(spec.motifs, spec.regular) if reg]
+        q1 = np.linalg.qr((root * linear_profile(h_irr, w, x))[:, None])[0]
+        a = root[:, None] * centered_kernel(h_reg, w, x) * root
         lam, phi = np.linalg.eigh(a)
         keep = np.abs(lam) > SPECTRAL_CUT * kernel_bound(h_reg)
         rest = phi[:, keep] - q1 @ (q1.T @ phi[:, keep])
@@ -126,7 +145,7 @@ class TestSampleLimit:
                 want = (np.einsum("xc,xc->c", z, a @ z) - np.trace(a) + lam[~keep].sum()
                         + gauss[0])
             else:
-                want = linear_profile(h, w, m) @ z / np.sqrt(m)
+                want = (root * linear_profile(h, w, x)) @ z
             assert np.abs(got[:, j] - want).max() <= 1e-12 * got[:, j].std()
 
     def test_regular_motifs_sharing_eigenvectors(self, w_two_community):
@@ -144,7 +163,8 @@ class TestSampleLimit:
             sq = x[:, j] ** 2
             want = marginal_regular_law(h, w, m).variance()
             assert abs(sq.mean() - want) < 5 * sq.std() / np.sqrt(len(sq))
-        a_k2, a_c4 = (centered_kernel(h, w, m) / m for h in (K2, c4))
+        nodes, root = block_rule(w)[0], np.sqrt(block_rule(w)[1])
+        a_k2, a_c4 = (root[:, None] * centered_kernel(h, w, nodes) * root for h in (K2, c4))
         want = 2 * np.trace(a_k2 @ a_c4) + spec.sigma.entries[0, 1]
         prod = x[:, 0] * x[:, 2]
         assert abs(prod.mean() - want) < 5 * prod.std() / np.sqrt(len(prod))
@@ -158,7 +178,7 @@ class TestMarginalRegularLaw:
         assert not law.degeneracy_warning
 
     def test_aligned_three_block_spectrum(self, w_two_community):
-        # 252 is a multiple of 3, so the grid aligns with the blocks: W_H = W/2
+        # the law is read on the three blocks, exact at any grid: W_H = W/2
         # has eigenvalues {1/6, 1/6, -1/6}, and the constant direction (d_WH = 1/6)
         # is the one the centering removes
         law = marginal_regular_law(K2, w_two_community, grid=252)
@@ -168,7 +188,7 @@ class TestMarginalRegularLaw:
 
     def test_degree_eigenvalue_present_with_constant_eigenvector(self, w_const_half):
         m = 128
-        kern = conditional_kernel_2pt(K3, w_const_half, grid=m).values
+        kern = conditional_kernel_2pt(K3, w_const_half, midpoints(m)).values
         lam, vecs = np.linalg.eigh(kern / m)
         d = degree_constant(K3, w_const_half)
         idx = np.argmin(np.abs(lam - d))
@@ -181,20 +201,20 @@ class TestMarginalRegularLaw:
         # (smooth kernel, so the discretization converges quadratically)
         vals = []
         for m in (256, 512):
-            kern = conditional_kernel_2pt(K3, w_affine, grid=m).values
+            kern = conditional_kernel_2pt(K3, w_affine, midpoints(m)).values
             lam = np.linalg.eigvalsh(kern / m)
             vals.append((lam ** 2).sum())
         assert abs(vals[1] - vals[0]) < 1e-3 * abs(vals[1])
 
     def test_eigenvalue_sum_matches_kernel_norm(self, w_affine):
         m = 256
-        kern = conditional_kernel_2pt(K3, w_affine, grid=m).values
+        kern = conditional_kernel_2pt(K3, w_affine, midpoints(m)).values
         lam = np.linalg.eigvalsh(kern / m)
         assert (lam ** 2).sum() == pytest.approx((kern ** 2).mean(), rel=1e-10)
 
     def test_degeneracy_warning_for_irregular_input(self):
-        # one dense half-block: the degree of W_H is 1/2 on the block and 0
-        # off it, while d_WH = t/2 = 1/8, so the degree residual is 3/8
+        # one dense half-block: the degree of W_H = W/2 is 1/4 on the block
+        # and 0 off it, while d_WH = t/2 = 1/8, so the degree residual is 1/8
         from graphonstat import BlockGraphon
         w = BlockGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]])
         law = marginal_regular_law(K2, w, grid=128)
@@ -208,29 +228,49 @@ class TestMarginalRegularLaw:
         ("bipartite:0.5", "k3", False),
     ])
     def test_degeneracy_warning_follows_degree_residual(self, wname, motif, warns):
-        # regular pairs, misaligned grids included, keep the residual below
-        # 0.008 |d_WH| at grid 256; irregular pairs exceed 0.13 |d_WH|
+        # the step fixtures are exact on their blocks: regular pairs have a
+        # residual of at most 1.1e-16 |d_WH|, irregular pairs at least
+        # 0.13 |d_WH| (paper-w3, C4); K3 on paper-w1 has 0.99 |d_WH|
         from graphonstat import BlockGraphon, parse_motif
         w = (BlockGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]]) if wname == "half-block"
              else graphon_by_name(wname))
         assert marginal_regular_law(parse_motif(motif), w, grid=256).degeneracy_warning is warns
 
-    def test_spectrum_skips_eigh_when_no_eigenvalue_can_pass_the_cut(self, w_const_half,
-                                                                      monkeypatch):
-        # K is exactly 0 for K2 and K3 on const:0.5: by Gershgorin no |lambda|
-        # exceeds the cut, so no decomposition runs
+    def test_constant_graphon_decomposes_one_by_one_matrix(self, w_const_half, monkeypatch):
+        # const:0.5 has one block: the law reads one node, and the centered
+        # kernel of K2 and K3 is the 1 x 1 zero matrix, so the spectrum is empty
         eigh, calls = np.linalg.eigh, []
-
-        def refuse(a):
-            raise AssertionError("eigh called")
-
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         for h in (K2, K3):
-            lam, phi, residual = _regular_spectrum(h, w_const_half, 64)
-            assert lam.shape == (0,) and phi.shape == (64, 0) and residual == 0.0
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-        lam, phi, _ = _regular_spectrum(K2, graphon_by_name("paper-w2"), 64)
-        assert len(calls) == 1 and len(lam) > 0 and phi.shape == (64, len(lam))
+            lam, phi, residual = _regular_spectrum(h, w_const_half, *block_rule(w_const_half))
+            assert lam.shape == (0,) and phi.shape == (1, 0) and residual == 0.0
+        assert calls == [(1, 1), (1, 1)]
+        lam, phi, _ = _regular_spectrum(K2, graphon_by_name("paper-w2"),
+                                        *block_rule(graphon_by_name("paper-w2")))
+        assert len(lam) > 0 and phi.shape == (3, len(lam))
+
+    @pytest.mark.parametrize("grid", [64, 256, 512])
+    def test_exact_law_on_misaligned_blocks(self, w_two_community, grid):
+        # paper-w2's blocks of 1/3 meet no grid of m = 2^j cells; the law read
+        # on the blocks is exact at every cap
+        for h, want in ((K2, 1 / 9), (cycle(4), 0.0017146776406035645)):
+            assert marginal_regular_law(h, w_two_community, grid).variance() == \
+                pytest.approx(want, rel=1e-12)
+            _, [(_, _, residual)] = _law_on_nodes([h], [True], w_two_community, grid)
+            assert residual <= 1e-15
+
+    @pytest.mark.parametrize("wname", ["paper-w2", "paper-w3", "bipartite:0.5"])
+    def test_regular_variance_matches_join_densities(self, wname):
+        # sigma^2 + 2 sum lambda^2 is the regular variance eta~ of the
+        # log-MGF, which `_eta_regular` sums from weak edge joins
+        w = graphon_by_name(wname)
+        pairs = [h for h in (K2, K3, cycle(4), K12)
+                 if build_limit_spec([h], w).regular == (True,)]
+        assert pairs
+        for h in pairs:
+            want = _eta_regular(build_limit_spec([h], w), [1.0])
+            assert marginal_regular_law(h, w).variance() == pytest.approx(
+                want, rel=1e-12, abs=1e-300)
 
     def test_ks_against_sample_limit(self, w_const_half):
         for h in (K2, K3):
@@ -290,7 +330,7 @@ class TestLogMgfOracle:
         # differentiate numerically and compare against sigma + 2||U||^2
         spec = build_limit_spec([K3], w_const_half, grid=128)
         sig = sigma_matrix([K3], w_const_half).entries[0, 0]
-        u = centered_kernel(K3, w_const_half, 128)
+        u = centered_kernel(K3, w_const_half, midpoints(128))
         total_var = sig + 2 * (u ** 2).mean()
         h = 1e-4
         second = (log_mgf_oracle(spec, [1.0], h) + log_mgf_oracle(spec, [1.0], -h)) / h ** 2
@@ -305,6 +345,16 @@ class TestLogMgfOracle:
 
 def test_linear_profile_variance_identity(w_affine):
     # integral of the profile squared equals the gamma variance
-    prof = linear_profile(K2, w_affine, 512)
+    prof = linear_profile(K2, w_affine, midpoints(512))
     gam = gamma_matrix([K2], w_affine).entries[0, 0]
     assert (prof ** 2).mean() == pytest.approx(gam, rel=1e-3)
+
+
+@pytest.mark.parametrize("wname,motifs", [
+    ("paper-w1", (K2, K3)), ("product", (K2, K3)), ("paper-w3", (K2,))])
+def test_profile_gram_matches_gamma(wname, motifs):
+    # the scaled profiles sqrt(w_i) g(x_i) are exact on blocks, and on a
+    # Gauss-Legendre rule for these polynomial profiles
+    w = graphon_by_name(wname)
+    profiles, _ = _law_on_nodes(motifs, [False] * len(motifs), w, 512)
+    assert_allclose(profiles @ profiles.T, gamma_matrix(motifs, w).entries, rtol=1e-12)
