@@ -16,9 +16,8 @@ from .counting import (Graph, GraphSizeError, count_copies, density_hat_t,
                        two_point_matrix)
 from .limitlaw import (LimitSpec, RegularMarginalLaw, build_limit_spec,
                        empirical_log_mgf, log_mgf_oracle, marginal_regular_law,
-                       sample_limit, sample_marginal_regular)
-from .bootstrap import (BootstrapDraws, empirical_quantile, multiplier_draws,
-                        quadratic_spectral_draws)
+                       sample_limit)
+from .bootstrap import BootstrapDraws, empirical_quantile, multiplier_draws
 from .inference import (ConfidenceInterval, ConfidenceReport, DegenerateDensityError,
                         RegularityTest, StructureAltParams, StructureStat,
                         StructureTestResult, clustering_coefficient,

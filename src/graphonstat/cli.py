@@ -113,6 +113,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _level(text: str) -> float:
+    try:
+        alpha = float(text)
+    except ValueError:
+        alpha = float("nan")
+    if not 0 < alpha < 1:
+        raise argparse.ArgumentTypeError(f"expected a level in (0, 1), got {text!r}")
+    return alpha
+
+
 # -- subcommand implementations -------------------------------------------------
 
 def _cmd_sample(args, config, t0):
@@ -298,20 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("ci", _cmd_ci, help="marginal confidence interval for a motif density")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--motif", required=True)
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--alpha", type=_level, default=0.05)
     sp.add_argument("--B", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, required=True)
 
     sp = add("joint-ci", _cmd_joint_ci, help="joint confidence set for motif densities")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--motifs", required=True)
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--alpha", type=_level, default=0.05)
     sp.add_argument("--B", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, required=True)
 
     sp = add("structure", _cmd_structure, help="edge/4-cycle global structure test")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--alpha", type=_level, default=0.05)
 
     sp = add("coverage-sim", _cmd_coverage_sim,
              help="replicated coverage simulation for confidence sets")
@@ -320,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--B", type=_positive_int, required=True)
     sp.add_argument("--reps", type=_positive_int, required=True)
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--alpha", type=_level, default=0.05)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--mode", choices=("joint", "marginal"), default="joint")
     sp.add_argument("--workers", type=_positive_int, default=1,

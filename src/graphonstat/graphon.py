@@ -288,17 +288,11 @@ def _join_density_cached(join, w, cache):
 def regularity_R_graphon(h: Motif, w: Graphon, clamp: bool = True) -> float:
     """R(h,w) = sum_{a,b} t(h (+)_{a,b} h, w) - |V|^2 t(h,w)^2; zero iff h-regular.
 
+    Read as |Aut(h)|^2 times the diagonal entry of `gamma_matrix([h], w)`.
     Floating point can leave tiny negatives for regular graphons, so the value
     is clamped at 0 by default; clamp=False returns the raw value.
     """
-    cache: dict = {}
-    s = 0.0
-    for a in range(1, h.k + 1):
-        for b in range(a, h.k + 1):
-            val = _join_density_cached(vertex_join(h, a, h, b), w, cache)
-            s += val if a == b else 2 * val
-    t = hom_density(h, w)
-    raw = s - h.k ** 2 * t ** 2
+    raw = float(h.aut ** 2 * gamma_matrix([h], w).entries[0, 0])
     if clamp:
         return max(raw, 0.0)
     return raw

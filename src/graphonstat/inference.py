@@ -17,10 +17,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .bootstrap import empirical_quantile, multiplier_draws, quadratic_spectral_draws
+from .bootstrap import empirical_quantile, multiplier_draws
 from .counting import (Graph, count_copies, density_hat_t, falling_factorial,
                        one_point_density, regularity_R_empirical)
-from .graphon import Graphon, gamma_matrix, hom_density, regularity_R_graphon
+from .graphon import Graphon, gamma_matrix, hom_density
 from .limitlaw import LimitSpec, build_limit_spec, REGULARITY_TOL
 from .motifs import C4, K2, Motif
 
@@ -170,9 +170,9 @@ def marginal_ci(g: Graph, h: Motif, alpha: float, B: int, seed,
     """Marginal confidence interval for t(h, W) via the testimation branch.
 
     Irregular branch: normal interval with the empirical 1-point variance.
-    Regular branch: pivot inversion against the weighted chi-squared draws
-    (1/n) sum_i lambda_i (Z_i^2 - 1), lambda_i eigenvalues of the centered
-    2-point matrix, so lower = t_hat - (|Aut|/n) q_hi.
+    Regular branch: pivot inversion against the quadratic multiplier draws
+    of `multiplier_draws`, (Z'MZ - tr M)/n with M the centered 2-point
+    matrix, so lower = t_hat - (|Aut|/n) q_hi.
     """
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
@@ -186,7 +186,7 @@ def marginal_ci(g: Graph, h: Motif, alpha: float, B: int, seed,
         half = z * h.aut * tau_hat / math.sqrt(n)
         return ConfidenceInterval(h, alpha, t_hat - half, t_hat + half, t_hat,
                                   "irregular", test.statistic)
-    draws = quadratic_spectral_draws(g, h, B, seed)
+    draws = multiplier_draws(g, [h], "quadratic", B, seed).marginal(0)
     q_hi = empirical_quantile(draws, 1 - alpha / 2)
     q_lo = empirical_quantile(draws, alpha / 2)
     return ConfidenceInterval(h, alpha, t_hat - h.aut * q_hi / n,
@@ -280,14 +280,13 @@ def structure_alt_params(w: Graphon, tol: float = REGULARITY_TOL) -> StructureAl
     Case 1: both irregular; case 2: K2-irregular, C4-regular; case 3: K2-regular,
     C4-irregular; case 4: both regular (non-Gaussian limit, sampler handle).
     """
-    r_k2 = regularity_R_graphon(K2, w)
-    r_c4 = regularity_R_graphon(C4, w)
+    gam = gamma_matrix([K2, C4], w).entries
+    r_k2, r_c4 = (max(float(h.aut ** 2 * gam[i, i]), 0.0) for i, h in enumerate((K2, C4)))
     t2 = hom_density(K2, w)
     t4 = hom_density(C4, w)
     f_value = t2 ** 4 - t4
     k2_reg = r_k2 < tol
     c4_reg = r_c4 < tol
-    gam = gamma_matrix([K2, C4], w).entries
     cross = K2.aut * C4.aut * gam[0, 1]
     grad2 = 4 * t2 ** 3
     common = dict(f_value=f_value, r_k2=r_k2, r_c4=r_c4, cross_cov=cross,

@@ -12,11 +12,14 @@ and D = diag(w), plus its Gaussian coordinate; subtracting the trace is the
 Wiener-Ito exclusion of diagonal squares.
 
 One core, `_chaos_draws`, evaluates linear, spectral and dense quadratic
-forms on shared blocks of standard normals; the limit-law samplers here and
-the multiplier bootstrap are setup around it.  `sample_limit` draws a regular
-coordinate in the spectral form of A (the weighted chi-squared form of
-Bhattacharya, Chatterjee & Janson) and reads z only through d = (irregular
-motifs) + (kept ranks) directions, listed at `sample_limit`.
+forms on shared blocks of standard normals; `sample_limit` and the multiplier
+bootstrap are setup around it.  `sample_limit` is the one sampler of the law:
+it draws a regular coordinate in the spectral form of A (the weighted
+chi-squared form of Bhattacharya, Chatterjee & Janson) and reads z only
+through d = (irregular motifs) + (kept ranks) directions, listed at
+`sample_limit`.  The marginal of a regular motif h is the column of
+`sample_limit(build_limit_spec([h], w), ...)`; `marginal_regular_law` holds
+its parameters (Gaussian std, kept spectrum, degeneracy warning).
 
 A closed-form log moment generating function of any linear combination of the
 limit coordinates is provided as an independent numeric oracle: an absolutely
@@ -146,7 +149,7 @@ def _chaos_draws(streams, draws: int, forms) -> np.ndarray:
     values do not depend on the streams after those rows.  One output column
     per form, one row per draw:
       ("linear", v)            v @ z
-      ("spectral", lam, phi)   lam @ ((phi' z)^2 - 1); phi None is the identity
+      ("spectral", lam, phi)   lam @ ((phi' z)^2 - 1)
       ("dense", a)             z' a z - tr(a)
     """
     rows = np.cumsum([0] + [dim for _, dim in streams])
@@ -160,8 +163,7 @@ def _chaos_draws(streams, draws: int, forms) -> np.ndarray:
                 vals = arrays[0] @ z[:len(arrays[0])]
             elif kind == "spectral":
                 lam, phi = arrays
-                y = z if phi is None else phi.T @ z[:len(phi)]
-                vals = lam @ (y ** 2 - 1)
+                vals = lam @ ((phi.T @ z[:len(phi)]) ** 2 - 1)
             else:
                 a = arrays[0]
                 vals = np.einsum("uc,uc->c", z, a @ z) - np.trace(a)
@@ -229,7 +231,8 @@ class RegularMarginalLaw:
 def marginal_regular_law(h: Motif, w: Graphon, grid: int = DEFAULT_GRID) -> RegularMarginalLaw:
     """Marginal law of a regular motif: Gaussian std plus the kept spectrum.
 
-    The spectrum is the one `sample_limit` draws from (`_law_on_nodes`).
+    The spectrum is the one `sample_limit` draws from (`_law_on_nodes`); the
+    law's draws are `sample_limit(build_limit_spec([h], w, grid), draws, seed)[:, 0]`.
     The warning flag is set when the degree residual exceeds 0.05 |d_WH|: W_H
     is then far from having constant degree d_WH, so h is not regular in w.
     """
@@ -238,18 +241,6 @@ def marginal_regular_law(h: Motif, w: Graphon, grid: int = DEFAULT_GRID) -> Regu
     var = sigma_matrix([h], w).entries[0, 0]
     sigma = float(np.sqrt(max(var, 0.0)))
     return RegularMarginalLaw(h, sigma, spectrum, d, residual > 0.05 * abs(d))
-
-
-def sample_marginal_regular(law: RegularMarginalLaw, draws: int, seed) -> np.ndarray:
-    """Draws of sigma*Z + sum_l lambda_l (Z_l^2 - 1), one Z_l per kept eigenvalue.
-
-    The chi-squared part and the Gaussian part use two substreams of the seed.
-    """
-    chi_rng, g_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-    chi = _chaos_draws([(chi_rng, len(law.spectrum))], draws,
-                       [("spectral", law.spectrum, None)])
-    gauss = _chaos_draws([(g_rng, 1)], draws, [("linear", np.array([law.sigma]))])
-    return (chi + gauss)[:, 0]
 
 
 # -- log moment generating function oracle -------------------------------------

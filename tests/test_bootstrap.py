@@ -5,8 +5,7 @@ from scipy import stats
 
 from graphonstat import (K2, K3, Graph, BootstrapDraws, constant_graphon,
                          empirical_quantile, multiplier_draws,
-                         one_point_density, quadratic_spectral_draws, sample_graph,
-                         two_point_matrix)
+                         one_point_density, sample_graph, two_point_matrix)
 
 from conftest import random_graph
 
@@ -32,12 +31,6 @@ class TestMultiplierDraws:
         bd = multiplier_draws(g, [K2], "linear", 200_000, seed=7)
         emp = bd.samples.var()
         assert abs(emp - target) < 4 * target * np.sqrt(2 / bd.B)
-
-    def test_quadratic_matches_spectral(self):
-        g = sample_graph(constant_graphon(0.5), 200, seed=9)
-        quad = multiplier_draws(g, [K2], "quadratic", 10_000, seed=11).samples[:, 0]
-        spec = quadratic_spectral_draws(g, K2, 10_000, seed=13)
-        assert stats.ks_2samp(quad, spec).statistic < 0.02
 
     def test_quadratic_approximates_limit_law(self):
         from graphonstat import build_limit_spec, sample_limit
@@ -108,14 +101,6 @@ class TestStreamContract:
         quad = (np.einsum("uc,uc->c", z, m @ z) - np.trace(m)) / g.n
         assert_allclose(bd.samples[:, 0], lin, rtol=1e-12)
         assert_allclose(bd.samples[:, 1], quad, rtol=1e-12)
-
-    def test_quadratic_spectral_draws(self):
-        g = random_graph(40, 0.5, seed=43)
-        got = quadratic_spectral_draws(g, K3, self.B, seed=45)
-        vals = two_point_matrix(K3, g).values
-        lam = np.linalg.eigvalsh(vals - vals.mean())
-        z = self._multipliers(g.n, 45)
-        assert_allclose(got, lam @ (z ** 2 - 1) / g.n, rtol=1e-12)
 
 
 class TestEmpiricalQuantile:

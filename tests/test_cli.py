@@ -93,6 +93,20 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["ci", "--graph", "g.txt", "--motif", "k2", "--B", "50", "--seed", "1"],
+        ["joint-ci", "--graph", "g.txt", "--motifs", "k2", "--B", "50", "--seed", "1"],
+        ["structure", "--graph", "g.txt"],
+        ["coverage-sim", "--graphon", "const:0.5", "--motifs", "k2", "--n", "40",
+         "--B", "50", "--reps", "2", "--seed", "1", "--out", "-"],
+    ], ids=["ci", "joint-ci", "structure", "coverage-sim"])
+    def test_alpha_outside_unit_interval_is_config_error(self, argv, alpha, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--alpha", alpha])
+        assert exc.value.code == 2
+        assert "level in (0, 1)" in capsys.readouterr().err
+
     def test_regtest_on_eight_vertex_motif_raises_at_once(self, graph_file, capsys):
         # the 15-vertex joins of C8 have Bell(15) ~ 1.4e9 vertex partitions
         t = time.perf_counter()

@@ -5,8 +5,9 @@ import pytest
 
 from graphonstat import (K2, K3, C4, DegenerateDensityError,
                          clustering_coefficient, constant_graphon,
-                         density_hat_t, hom_density,
-                         joint_confidence_set, marginal_ci, regularity_test,
+                         density_hat_t, empirical_quantile, hom_density,
+                         joint_confidence_set, marginal_ci, multiplier_draws,
+                         regularity_test,
                          sample_graph, structure_alt_params,
                          structure_null_variance, structure_stat, structure_test)
 from graphonstat.counting import Graph
@@ -111,10 +112,17 @@ class TestMarginalCI:
         assert NormalDist().inv_cdf(1 - alpha / 2) == \
             pytest.approx(stats.norm.ppf(1 - alpha / 2), rel=2e-15)
 
-    def test_regular_branch_uses_spectral_draws(self, w_bipartite_half):
+    def test_regular_branch_inverts_quadratic_multiplier_draws(self, w_bipartite_half):
         g = sample_graph(w_bipartite_half, 300, seed=35)
-        ci = marginal_ci(g, K2, 0.05, 2000, seed=37)
+        alpha, B = 0.05, 2000
+        ci = marginal_ci(g, K2, alpha, B, seed=37)
         assert ci.branch == "regular"
+        draws = multiplier_draws(g, [K2], "quadratic", B, seed=37).marginal(0)
+        q_hi = empirical_quantile(draws, 1 - alpha / 2)
+        q_lo = empirical_quantile(draws, alpha / 2)
+        t_hat = density_hat_t(K2, g)
+        assert ci.lower == t_hat - K2.aut * q_hi / g.n
+        assert ci.upper == t_hat - K2.aut * q_lo / g.n
         # interval width is O(1/n), far narrower than the sqrt(n) normal one
         assert ci.upper - ci.lower < 0.05
 

@@ -8,7 +8,7 @@ from scipy import stats
 from graphonstat import (K2, K3, K12, LimitSpec, build_limit_spec, cycle,
                          empirical_log_mgf, gamma_matrix, graphon_by_name,
                          log_mgf_oracle, marginal_regular_law,
-                         sample_limit, sample_marginal_regular, sigma_matrix)
+                         sample_limit, sigma_matrix)
 from graphonstat.graphon import (QuadratureError, conditional_kernel_2pt, degree_constant,
                                  kernel_bound)
 from graphonstat.limitlaw import (_CHUNK, SPECTRAL_CUT, _eta_regular, _law_on_nodes,
@@ -271,14 +271,6 @@ class TestMarginalRegularLaw:
             want = _eta_regular(build_limit_spec([h], w), [1.0])
             assert marginal_regular_law(h, w).variance() == pytest.approx(
                 want, rel=1e-12, abs=1e-300)
-
-    def test_ks_against_sample_limit(self, w_const_half):
-        for h in (K2, K3):
-            spec = build_limit_spec([h], w_const_half, grid=256)
-            a = sample_limit(spec, 100_000, seed=37)[:, 0]
-            law = marginal_regular_law(h, w_const_half, grid=256)
-            b = sample_marginal_regular(law, 100_000, seed=41)
-            assert stats.ks_2samp(a, b).statistic < 0.02
 
 
 class TestLogMgfOracle:
