@@ -1,15 +1,17 @@
 """Exact subgraph statistics on an observed graph.
 
-Counts are injective-homomorphism based and exact at every n.  Two
-strategies back the public operations: closed forms for the workhorse motifs
-(edge, 2-star, triangle, 4-cycle, bowtie) built from degree sums and matrix
-powers, and, for every other motif, Moebius inversion over vertex partitions
-which turns injective counts into all-maps homomorphism counts evaluated by
-exact integer contraction (`_elim.contract`).  Its quotient classes and
-weights (the spasm) depend on the motif and its pins alone, so `_spasm`
-builds them once, from loop-free partitions.  Pins (the 1- and 2-point
-densities) are colours in the canonical form: each Aut(h) orbit of pins and
-each quotient class is contracted once.
+Counts are injective-homomorphism based and exact at every n.  The total, the
+1-point rows and the 2-point matrix of a motif h each sum one exact count per
+Aut(h) orbit of pinned vertex tuples (none, one vertex, or a pair), and one
+dispatch, `_orbit_counts`, decides how each is computed.  It looks the
+orbit's key (h with the pins coloured) up in `_ORBIT_FORMS`: sixteen closed
+forms from degree sums and matrix powers, per pin orbit of the edge, 2-star,
+triangle and 4-cycle, plus the bowtie total.  Every other orbit goes to Moebius
+inversion over vertex partitions, which turns injective counts into all-maps
+homomorphism counts evaluated by exact integer contraction (`_elim.contract`).
+Its quotient classes and weights (the spasm) depend on the motif and its pins
+alone, so `_spasm` builds them once, from loop-free partitions, and each
+quotient class is contracted once.
 """
 
 from __future__ import annotations
@@ -227,99 +229,93 @@ def _mobius_injective(h: Motif, g: Graph, pins: tuple[int, ...] = ()):
     return total.value
 
 
-# -- closed forms ---------------------------------------------------------------
+# -- the counting dispatch -----------------------------------------------------
 
-_BOWTIE = vertex_join(Motif.from_edges(3, [(1, 2), (1, 3), (2, 3)]), 1,
-                      Motif.from_edges(3, [(1, 2), (1, 3), (2, 3)]), 1)
-
-
-# Canonical key -> (name, the motif whose vertex labels the closed-form rows use).
-_CLOSED_FORMS = {m.canonical_key(): (name, m) for name, m in
-                 (("k2", K2), ("k12", K12), ("k3", K3), ("c4", C4), ("bowtie", _BOWTIE))}
+_BOWTIE = vertex_join(K3, 1, K3, 1)
 
 
-def _closed_injective_total(name: str, g: Graph) -> int:
-    """Injective count from degree sums and matrix powers.
-
-    Per-entry quantities stay in float64, where their integer values (at most
-    n^2) are exact.  Each reduction is `_elim._exact_total` with a static
-    bound on the sum of its entries: n^3, n^4, or n^5 for the bowtie's
-    per-vertex term.
-    """
-    if name == "k2":
-        return 2 * g.n_edges
-    d = g.degrees
-    if name == "k12":
-        return _exact_total(d * (d - 1), g.n ** 3)
-    a = g.adj_float()
-    a2 = g.codegrees
-    if name == "k3":
-        return _exact_total(a2 * a, g.n ** 3)
-    if name == "c4":
-        codeg = a2 - np.diag(np.diag(a2))
-        return _exact_total(codeg * (codeg - 1), g.n ** 4)
-    if name == "bowtie":
-        tri = (a2 * a).sum(axis=1) // 2           # triangles at each vertex
-        tri = _as_dtype(tri, _result_dtype(g.n ** 4))   # tri * (tri - 1) < n^4
-        per_vertex = _exact_total(tri * (tri - 1), g.n ** 5) // 2
-        codeg = a2 * a                            # codegree restricted to edges
-        per_edge = _exact_total(codeg * (codeg - 1), g.n ** 4) // 4
-        return (per_vertex - 2 * per_edge) * _BOWTIE.aut
-    raise KeyError(name)
+def _c4_total(g: Graph) -> int:
+    codeg = g.codegrees - np.diag(np.diag(g.codegrees))
+    return _exact_total(codeg * (codeg - 1), g.n ** 4)
 
 
-def _closed_one_point(name: str, g: Graph) -> np.ndarray:
-    """X_a(v, .) for each vertex a of the canonical labeling; shape (k, n)."""
-    a = g.adj_float()
+def _bowtie_total(g: Graph) -> int:
+    """Pairs of triangles at a vertex, less those that share an edge; the
+    per-vertex reduction is bounded by n^5."""
+    codeg = g.codegrees * g.adj_float()           # codegree restricted to edges
+    tri = codeg.sum(axis=1) // 2                  # triangles at each vertex
+    tri = _as_dtype(tri, _result_dtype(g.n ** 4))   # tri * (tri - 1) < n^4
+    per_vertex = _exact_total(tri * (tri - 1), g.n ** 5) // 2
+    per_edge = _exact_total(codeg * (codeg - 1), g.n ** 4) // 4
+    return (per_vertex - 2 * per_edge) * _BOWTIE.aut
+
+
+def _c4_vertex(g: Graph) -> np.ndarray:
+    a, a2, d = g.adj_float(), g.codegrees, g.degrees
+    return (a2 * a2).sum(axis=1) - d ** 2 - a @ d + d
+
+
+def _k12_centre_leaf(g: Graph) -> np.ndarray:
     d = g.degrees.astype(np.float64)
-    if name == "k2":
-        return np.vstack([d, d])
-    if name == "k12":
-        leaf = a @ d - d
-        return np.vstack([d * (d - 1), leaf, leaf])
-    a2 = g.codegrees
-    if name == "k3":
-        closed3 = (a2 * a).sum(axis=1)
-        return np.vstack([closed3] * 3)
-    if name == "c4":
-        closed4 = (a2 * a2.T).sum(axis=1)
-        x = closed4 - d ** 2 - (a @ d) + d
-        return np.vstack([x] * 4)
-    raise KeyError(name)
+    return g.adj_float() * (d[:, None] + d[None, :] - 2)
 
 
-def _closed_two_point(name: str, g: Graph) -> np.ndarray:
-    """sum over ordered pairs a != b of X_{a,b}(u, v, .); zero diagonal."""
-    a = g.adj_float()
-    d = g.degrees.astype(np.float64)
-    if name == "k2":
-        total = 2 * a
-    elif name == "k12":
-        a2 = g.codegrees
-        total = 2 * a * (d[:, None] + d[None, :] - 2) + 2 * a2
-    elif name == "k3":
-        a2 = g.codegrees
-        total = 6 * a * a2
-    elif name == "c4":
-        a2 = g.codegrees
-        p3 = a @ a2 - a * (d[:, None] + d[None, :] - 1)
-        total = 8 * a * p3 + 4 * a2 * (a2 - 1)
-    else:
-        raise KeyError(name)
-    np.fill_diagonal(total, 0.0)
-    return total
+def _c4_adjacent(g: Graph) -> np.ndarray:
+    a, a2, d = g.adj_float(), g.codegrees, g.degrees.astype(np.float64)
+    p3 = a @ a2 - a * (d[:, None] + d[None, :] - 1)     # 3-edge paths u-x-y-v
+    return 2 * a * p3
+
+
+# Closed forms, one per Aut(h) orbit of pins, under the orbit's key from
+# `_pin_orbits`, built from the adjacency A, the codegrees A2 = A @ A and the
+# degrees d, with entries exact in float64.  A total is an int (each reduction
+# is `_elim._exact_total` with a static bound n^3, n^4 or n^5 on its sum), a
+# 1-point entry is X_a(v) for v in g, and a pair entry is the symmetric
+# X_{a,b}(u, v) + X_{a,b}(v, u), a fresh array the caller scales in place.
+_ORBIT_FORMS = {key: form for h, pins, form in (
+    (K2, (), lambda g: 2 * g.n_edges),
+    (K12, (), lambda g: _exact_total(g.degrees * (g.degrees - 1), g.n ** 3)),
+    (K3, (), lambda g: _exact_total(g.codegrees * g.adj_float(), g.n ** 3)),
+    (C4, (), _c4_total),
+    (_BOWTIE, (), _bowtie_total),
+    (K2, (1,), lambda g: g.degrees),
+    (K12, (1,), lambda g: g.degrees * (g.degrees - 1)),
+    (K12, (2,), lambda g: g.adj_float() @ g.degrees - g.degrees),
+    (K3, (1,), lambda g: (g.codegrees * g.adj_float()).sum(axis=1)),
+    (C4, (1,), _c4_vertex),
+    (K2, (1, 2), lambda g: 2 * g.adj_float()),
+    (K12, (1, 2), _k12_centre_leaf),
+    (K12, (2, 3), lambda g: 2 * g.codegrees),
+    (K3, (1, 2), lambda g: 2 * g.adj_float() * g.codegrees),
+    (C4, (1, 2), _c4_adjacent),
+    (C4, (1, 3), lambda g: 2 * g.codegrees * (g.codegrees - 1)),
+) for key, orbit in _pin_orbits(h, len(pins)).items() if pins in orbit}
+
+
+def _orbit_counts(h: Motif, g: Graph, size: int):
+    """(orbit, injective count with the orbit's first member pinned) for each
+    Aut(h) orbit of pin tuples of length size (0, 1 or 2): the closed form
+    registered under the orbit's key, else `_mobius_injective`.  A pair count
+    is X_{a,b}(u, v) + X_{a,b}(v, u), a fresh float array whose diagonal the
+    caller zeroes."""
+    if g.n < h.k:
+        raise GraphSizeError(f"graph has {g.n} vertices, motif needs {h.k}")
+    for key, orbit in _pin_orbits(h, size).items():
+        form = _ORBIT_FORMS.get(key)
+        if form is not None:
+            yield orbit, form(g)
+        elif size < 2:
+            yield orbit, _mobius_injective(h, g, orbit[0])
+        else:
+            x = np.asarray(_mobius_injective(h, g, orbit[0]), dtype=float)
+            yield orbit, x + x.T                # X_{b,a}(u, v) = X_{a,b}(v, u)
 
 
 # -- public operations ----------------------------------------------------------
 
 def injective_hom_count(h: Motif, g: Graph) -> int:
     """Number of injective homomorphisms of h into g (equals |Aut(h)| X(h,g))."""
-    if g.n < h.k:
-        raise GraphSizeError(f"graph has {g.n} vertices, motif needs {h.k}")
-    form = _CLOSED_FORMS.get(h.canonical_key())
-    if form is not None:
-        return _closed_injective_total(form[0], g)
-    return int(_mobius_injective(h, g))
+    return sum(int(x) for _, x in _orbit_counts(h, g, 0))
 
 
 def count_copies(h: Motif, g: Graph) -> int:
@@ -354,20 +350,9 @@ class OnePointDensity:
 
 def one_point_density(h: Motif, g: Graph) -> OnePointDensity:
     """t_hat(v,h,g) = (1/|Aut|) sum_a X_a(v,h,g) / n^(k-1) for every vertex v."""
-    if g.n < h.k:
-        raise GraphSizeError(f"graph has {g.n} vertices, motif needs {h.k}")
-    form = _CLOSED_FORMS.get(h.canonical_key())
-    if form is not None and form[0] != "bowtie":
-        name, canon = form
-        # vertex a of h and the vertex of canon with the same canonical label
-        # play the same role
-        rows_canon = _closed_one_point(name, g)
-        canon_vertex = {label: v + 1 for v, label in enumerate(canon._form()[1])}
-        x_a = np.vstack([rows_canon[canon_vertex[label] - 1] for label in h._form()[1]])
-    else:
-        x_a = np.empty((h.k, g.n))
-        for orbit in _pin_orbits(h, 1):       # automorphic pins give equal rows
-            x_a[[a - 1 for (a,) in orbit]] = _mobius_injective(h, g, pins=orbit[0])
+    x_a = np.empty((h.k, g.n))
+    for orbit, x in _orbit_counts(h, g, 1):     # automorphic pins give equal rows
+        x_a[[a - 1 for (a,) in orbit]] = x
     t_hat = x_a.sum(axis=0) / (h.aut * float(g.n) ** (h.k - 1))
     return OnePointDensity(h, t_hat, x_a)
 
@@ -378,19 +363,16 @@ def two_point_matrix(h: Motif, g: Graph) -> KernelMatrix:
     W_hat(u,v) = (1/(2|Aut|)) sum over ordered pairs a != b of
     X_{a,b}(u,v,h,g) / n^(k-2).
     """
-    if g.n < h.k:
-        raise GraphSizeError(f"graph has {g.n} vertices, motif needs {h.k}")
-    form = _CLOSED_FORMS.get(h.canonical_key())
-    if form is not None and form[0] != "bowtie":
-        total = _closed_two_point(form[0], g)
-    else:
-        total = np.zeros((g.n, g.n))
-        for orbit in _pin_orbits(h, 2):
-            # an automorphism maps (a, b) onto (c, d) or (d, c), and
-            # X_{b,a}(u,v) = X_{a,b}(v,u): each member adds x + x.T
-            x = np.asarray(_mobius_injective(h, g, pins=orbit[0]), dtype=float)
-            total += len(orbit) * (x + x.T)
-        np.fill_diagonal(total, 0.0)
+    total = None
+    for orbit, x in _orbit_counts(h, g, 2):
+        # an automorphism maps the first pair onto each member, in one order or
+        # the other, so each member adds the symmetric entry x
+        x *= len(orbit)
+        if total is None:
+            total = x
+        else:
+            total += x
+    np.fill_diagonal(total, 0.0)
     vals = total / (2 * h.aut * float(g.n) ** (h.k - 2))
     return KernelMatrix(vals, h, kind="empirical")
 

@@ -222,7 +222,7 @@ def tbar_1pt(h: Motif | MultiMotif, x, w: Graphon):
     mm = as_multimotif(h)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     total = np.zeros(len(xs))
-    for orbit in _pin_orbits(mm, 1):        # automorphic vertices give equal t_a
+    for orbit in _pin_orbits(mm, 1).values():   # automorphic vertices give equal t_a
         total += len(orbit) * _integrate(mm, w, pins=dict.fromkeys(orbit[0], xs))
     total /= mm.k
     return total[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else total
@@ -261,7 +261,7 @@ def conditional_kernel_2pt(h: Motif, w: Graphon, x) -> KernelMatrix:
     mm = as_multimotif(h)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     total = np.zeros((len(xs), len(xs)))
-    for orbit in _pin_orbits(mm, 2):
+    for orbit in _pin_orbits(mm, 2).values():
         # an automorphism maps the first pair onto each member, in one order or
         # the other, and t_{b,a}(x,y) = t_{a,b}(y,x): each adds tab + tab.T,
         # so the total is exactly symmetric

@@ -8,9 +8,8 @@ together; their homomorphism densities parameterize every variance formula
 in the package.
 
 Every isomorphism question (canonical keys, |Aut|, isomorphism tests and the
-labelling that maps a motif onto a registered closed form) is answered by one
-individualization-refinement routine, `_canonical_form`, which is exact or
-raises `MotifSizeError`.
+Aut orbits of pinned vertices) is answered by one individualization-refinement
+routine, `_canonical_form`, which is exact or raises `MotifSizeError`.
 """
 
 from __future__ import annotations
@@ -298,15 +297,16 @@ def _canonical_form(k: int, edges: tuple[tuple[Edge, int], ...], colours=None):
     return key, tuple(labelling), aut
 
 
-def _pin_orbits(h: Motif | MultiMotif, size: int) -> list[list[tuple[int, ...]]]:
-    """Aut(h) orbits on sorted vertex tuples of length size (1 or 2), as sorted
-    lists in sorted order, read from the keys of h with the tuple coloured."""
+def _pin_orbits(h: Motif | MultiMotif, size: int) -> dict[tuple, list[tuple[int, ...]]]:
+    """Aut(h) orbits on sorted vertex tuples of length size (0, 1 or 2), as
+    sorted lists in sorted order, each under its key: the key of h with the
+    tuple's vertices coloured 1 and the rest 0."""
     mm = as_multimotif(h)
     orbits: dict = {}
     for pins in itertools.combinations(range(1, mm.k + 1), size):
         colours = tuple(int(v in pins) for v in range(1, mm.k + 1))
         orbits.setdefault(_canonical_form(mm.k, mm.edges, colours)[0], []).append(pins)
-    return list(orbits.values())
+    return orbits
 
 
 def automorphism_count(m: Motif) -> int:

@@ -93,6 +93,23 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--graphon", "const:0.5", "--n", "10"],
+        ["limit-sample", "--graphon", "const:0.5", "--motifs", "k2", "--draws", "5"],
+        ["bootstrap", "--graph", "g.txt", "--motifs", "k2", "--B", "50"],
+        ["ci", "--graph", "g.txt", "--motif", "k2", "--B", "50"],
+        ["joint-ci", "--graph", "g.txt", "--motifs", "k2", "--B", "50"],
+        ["coverage-sim", "--graphon", "const:0.5", "--motifs", "k2", "--n", "40",
+         "--B", "50", "--reps", "2", "--out", "-"],
+    ], ids=["sample", "limit-sample", "bootstrap", "ci", "joint-ci", "coverage-sim"])
+    def test_seed_must_be_non_negative(self, argv, seed, capsys):
+        # rejected while parsing, before a graph is read or a density integrated
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "nan"])
     @pytest.mark.parametrize("argv", [
         ["ci", "--graph", "g.txt", "--motif", "k2", "--B", "50", "--seed", "1"],
@@ -185,6 +202,21 @@ class TestStatCommands:
                     if not l.startswith("#")]
             assert rows[0] == header.split(",")
             assert {len(r) for r in rows} == {len(rows[0])}
+
+    def test_motifs_take_explicit_literals(self, graph_file, tmp_path, capsys):
+        # the commas of an edge list stay in its literal, whose header cell is
+        # quoted; K1,2 centred at vertex 3 draws what k12 draws, byte for byte
+        rows = {}
+        for motifs in ("k2,k12", "k2,n=3;edges=1-3,2-3"):
+            out_path = str(tmp_path / "out.csv")
+            code, _, _ = run(capsys, "bootstrap", "--graph", graph_file, "--motifs", motifs,
+                             "--B", "20", "--seed", "1", "--out", out_path)
+            assert code == 0
+            rows[motifs] = [l for l in open(out_path).read().splitlines()
+                            if not l.startswith("#")]
+        assert rows["k2,n=3;edges=1-3,2-3"][0] == 'zhat_k2,"zhat_n=3;edges=1-3,2-3"'
+        assert rows["k2,n=3;edges=1-3,2-3"][1:] == rows["k2,k12"][1:]
+        assert len(rows["k2,k12"]) == 21
 
 
 class TestCsvWriter:

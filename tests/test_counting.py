@@ -256,6 +256,67 @@ def test_moebius_contracts_each_orbit_and_class_once(op, h, most, monkeypatch):
     assert 0 < len(calls) <= most
 
 
+# every closed form of the counting dispatch: (motif, first pin tuple of its orbit)
+ORBIT_FORMS = [(K2, ()), (K12, ()), (K3, ()), (C4, ()), (_BOWTIE, ()),
+               (K2, (1,)), (K12, (1,)), (K12, (2,)), (K3, (1,)), (C4, (1,)),
+               (K2, (1, 2)), (K12, (1, 2)), (K12, (2, 3)), (K3, (1, 2)), (C4, (1, 2)),
+               (C4, (1, 3))]
+
+
+def orbit_key(h, pins):
+    return next(key for key, orbit in motif_module._pin_orbits(h, len(pins)).items()
+                if pins in orbit)
+
+
+class TestOrbitDispatch:
+    def test_registry_is_the_sixteen_forms(self):
+        assert set(counting._ORBIT_FORMS) == {orbit_key(h, pins) for h, pins in ORBIT_FORMS}
+        assert len(counting._ORBIT_FORMS) == 16
+
+    @pytest.mark.parametrize("fixture", ["w_affine", "w_six_block", "w_const_half"])
+    @pytest.mark.parametrize("h,pins", ORBIT_FORMS, ids=[
+        {K2: "k2", K12: "k12", K3: "k3", C4: "c4", _BOWTIE: "bowtie"}[h]
+        + "-" + ("".join(map(str, pins)) or "total") for h, pins in ORBIT_FORMS])
+    def test_form_equals_moebius(self, h, pins, fixture, request):
+        form = counting._ORBIT_FORMS[orbit_key(h, pins)]
+        for n in (9, 60):
+            g = sample_graph(request.getfixturevalue(fixture), n, seed=61)
+            want = _mobius_injective(h, g, pins)
+            if len(pins) == 2:
+                want = np.asarray(want, dtype=float)
+                want = want + want.T
+            got = form(g)
+            if pins:
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+            else:
+                assert got == int(want)
+
+    @pytest.mark.parametrize("h,perm", [(K12, {1: 3, 2: 1, 3: 2}),
+                                        (C4, {1: 1, 2: 3, 3: 2, 4: 4})],
+                             ids=["k12-centre-3", "c4-relabelled"])
+    def test_relabelled_motif_reads_the_same_forms(self, h, perm, monkeypatch):
+        # a lookup miss would fall back to Moebius silently: count contractions
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return contract(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "contract", counted)
+        other = h.relabel(perm)
+        assert other != h
+        g = sample_graph(graphon_by_name("paper-w1"), 60, seed=67)
+        op, op_other = one_point_density(h, g), one_point_density(other, g)
+        rows = [perm[a] - 1 for a in range(1, h.k + 1)]
+        assert op_other.x_a[rows].tobytes() == op.x_a.tobytes()
+        assert op_other.t_hat.tobytes() == op.t_hat.tobytes()
+        assert two_point_matrix(other, g).values.tobytes() == \
+            two_point_matrix(h, g).values.tobytes()
+        assert injective_hom_count(other, g) == injective_hom_count(h, g)
+        assert calls == []
+
+
 class TestSpasm:
     @pytest.mark.parametrize("h", all_motifs_up_to(5), ids=lambda h: f"{h.k}:" + ",".join(
         f"{u}{v}" for u, v in sorted(h.edges)))
