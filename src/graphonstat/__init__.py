@@ -2,9 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .motifs import (K2, K3, C4, K12, Motif, MultiMotif, MotifSizeError,
-                     automorphism_count, clique, cycle, edge_join, is_isomorphic,
-                     parse_motif, path, star, vertex_join)
+from .motifs import (K2, K3, C4, K12, Motif, MultiMotif, MotifSizeError, clique,
+                     cycle, edge_join, parse_motif, path, star, vertex_join)
 from .graphon import (BlockGraphon, CovMatrix, ExpressionGraphon, Graphon,
                       KernelMatrix, conditional_1pt, conditional_kernel_2pt,
                       constant_graphon, bipartite_graphon, gamma_matrix,
@@ -20,7 +19,6 @@ from .limitlaw import (LimitSpec, RegularMarginalLaw, build_limit_spec,
 from .bootstrap import BootstrapDraws, empirical_quantile, multiplier_draws
 from .inference import (ConfidenceInterval, ConfidenceReport, DegenerateDensityError,
                         RegularityTest, StructureAltParams, StructureStat,
-                        StructureTestResult, clustering_coefficient,
-                        joint_confidence_set, marginal_ci, regularity_test,
-                        structure_alt_params, structure_null_variance,
-                        structure_stat, structure_test)
+                        StructureTestResult, joint_confidence_set, marginal_ci,
+                        regularity_test, structure_alt_params,
+                        structure_null_variance, structure_stat, structure_test)

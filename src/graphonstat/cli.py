@@ -30,7 +30,7 @@ from .inference import (DEFAULT_REGULARITY_EXPONENT, joint_confidence_set, margi
 from .limitlaw import DEFAULT_GRID, build_limit_spec, sample_limit
 from .motifs import Motif, parse_motif
 
-EXIT_CONFIG = 2
+# exit codes past argparse, which exits 2 on a bad option
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._elim import ExactSum, _as_dtype, _exact_total, _result_dtype, contract
-from .graphon import BlockGraphon, KernelMatrix, empirical_block_graphon
+from .graphon import BlockGraphon, KernelMatrix
 from .motifs import (C4, K2, K3, K12, Motif, MotifSizeError, _canonical_form, _pin_orbits,
                      vertex_join)
 
@@ -34,7 +34,7 @@ class GraphSizeError(ValueError):
 class Graph:
     """Simple undirected graph as a symmetric 0/1 adjacency matrix."""
 
-    def __init__(self, adjacency, latents=None):
+    def __init__(self, adjacency):
         a = np.asarray(adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
@@ -46,7 +46,6 @@ class Graph:
             raise ValueError("adjacency entries must be 0 or 1")
         self.adj = a.astype(np.uint8)
         self.adj.flags.writeable = False
-        self.latents = latents
         self._deg = None
         self._adj_float = None
         self._codeg = None
@@ -97,13 +96,14 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.n_edges})"
 
 
-def parse_edge_list(text: str, n: int | None = None) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Edge list: one "u v" pair per line, 0-indexed, comments start with '#'.
 
     A comment of the form "# n=N" pins the vertex count; otherwise n is the
-    largest index plus one (or the explicit n argument).
+    largest index plus one.
     """
     edges = []
+    n = None
     max_idx = -1
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -125,9 +125,9 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def load_edge_list(path: str, n: int | None = None) -> Graph:
+def load_edge_list(path: str) -> Graph:
     with open(path) as fh:
-        return parse_edge_list(fh.read(), n=n)
+        return parse_edge_list(fh.read())
 
 
 def edge_list_lines(g: Graph) -> list[str]:
@@ -139,25 +139,14 @@ def edge_list_lines(g: Graph) -> list[str]:
 
 def empirical_graphon(g: Graph) -> BlockGraphon:
     """Step graphon of g: W(x,y) = 1 iff (ceil(nx), ceil(ny)) is an edge."""
-    return empirical_block_graphon(g.adj, name=f"empirical[n={g.n}]")
+    return BlockGraphon(np.full(g.n, 1.0 / g.n), g.adj_float(), name=f"empirical[n={g.n}]")
 
 
 # -- Moebius inversion over vertex partitions ----------------------------------
 
-def _bell(k: int) -> int:
-    """Number of set partitions of k items (Bell triangle)."""
-    row = [1]
-    for _ in range(k - 1):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[-1]
-
-
-# Partitions `_spasm` may face: Bell(12) = 4,213,597, so the 11-vertex joins
-# of 6-vertex motifs still count; larger motifs raise.
-_PARTITION_CAP = _bell(12)
+# Vertices `_spasm` may partition: Bell(12) = 4,213,597 partitions, so the
+# 11-vertex joins of 6-vertex motifs still count; larger motifs raise.
+_VERTEX_CAP = 12
 
 
 @lru_cache(maxsize=1 << 10)
@@ -171,13 +160,12 @@ def _spasm(h: Motif, pins: tuple[int, ...] = ()):
     pin, no other pin (merged pins only add to the diagonal the callers zero).
     Joining a block of size s multiplies the weight by -s, which gives each
     partition its Moebius weight prod (-1)^(|b|-1) (|b|-1)!.  Classes are
-    canonical keys with pinned blocks coloured; past _PARTITION_CAP
-    partitions it raises MotifSizeError.
+    canonical keys with pinned blocks coloured; past _VERTEX_CAP vertices
+    it raises MotifSizeError.
     """
-    partitions = _bell(h.k)
-    if partitions > _PARTITION_CAP:
-        raise MotifSizeError(f"Moebius inversion of a {h.k}-vertex motif needs {partitions} "
-                             f"vertex partitions, cap is {_PARTITION_CAP}")
+    if h.k > _VERTEX_CAP:
+        raise MotifSizeError(f"Moebius inversion of a {h.k}-vertex motif runs over its vertex "
+                             f"partitions, cap is {_VERTEX_CAP} vertices")
     edges = [(u - 1, v - 1) for u, v in h.edges]
     pinned = [p - 1 for p in pins]
     # the earlier vertices that vertex v may not share a block with
@@ -374,7 +362,7 @@ def two_point_matrix(h: Motif, g: Graph) -> KernelMatrix:
             total += x
     np.fill_diagonal(total, 0.0)
     vals = total / (2 * h.aut * float(g.n) ** (h.k - 2))
-    return KernelMatrix(vals, h, kind="empirical")
+    return KernelMatrix(vals, h)
 
 
 def regularity_R_empirical(h: Motif, g: Graph) -> float:

@@ -45,9 +45,6 @@ class Graphon:
     def eval(self, x, y):
         raise NotImplementedError
 
-    def __call__(self, x, y):
-        return self.eval(x, y)
-
 
 class BlockGraphon(Graphon):
     """Step graphon: B blocks with given sizes and a symmetric value matrix."""
@@ -109,12 +106,6 @@ class ExpressionGraphon(Graphon):
         return np.clip(np.asarray(self.fn(x, y), dtype=float), 0.0, 1.0)
 
 
-def empirical_block_graphon(adjacency: np.ndarray, name: str = "empirical") -> BlockGraphon:
-    """Step graphon of an observed graph: n equal blocks, 0/1 values."""
-    n = adjacency.shape[0]
-    return BlockGraphon(np.full(n, 1.0 / n), adjacency.astype(float), name=name)
-
-
 # -- sampling -----------------------------------------------------------------
 
 def sample_graph(w: Graphon, n: int, seed):
@@ -133,7 +124,7 @@ def sample_graph(w: Graphon, n: int, seed):
     coins = rng.random((n, n))
     upper = np.triu(coins < p, k=1)
     adj = (upper | upper.T).astype(np.uint8)
-    return Graph(adj, latents=u)
+    return Graph(adj)
 
 
 # -- homomorphism densities ---------------------------------------------------
@@ -234,7 +225,6 @@ class KernelMatrix:
 
     values: np.ndarray
     motif: Motif
-    kind: str = "graphon"
 
     def __post_init__(self):
         v = self.values
@@ -267,7 +257,7 @@ def conditional_kernel_2pt(h: Motif, w: Graphon, x) -> KernelMatrix:
         # so the total is exactly symmetric
         tab = _integrate(mm, w, pins=dict.fromkeys(orbit[0], xs))
         total += len(orbit) * (tab + tab.T)
-    return KernelMatrix(total / (2 * h.aut), h, kind="graphon")
+    return KernelMatrix(total / (2 * h.aut), h)
 
 
 # -- regularity and covariance matrices ---------------------------------------
@@ -285,17 +275,14 @@ def _join_density_cached(join, w, cache):
     return val
 
 
-def regularity_R_graphon(h: Motif, w: Graphon, clamp: bool = True) -> float:
+def regularity_R_graphon(h: Motif, w: Graphon) -> float:
     """R(h,w) = sum_{a,b} t(h (+)_{a,b} h, w) - |V|^2 t(h,w)^2; zero iff h-regular.
 
     Read as |Aut(h)|^2 times the diagonal entry of `gamma_matrix([h], w)`.
     Floating point can leave tiny negatives for regular graphons, so the value
-    is clamped at 0 by default; clamp=False returns the raw value.
+    is clamped at 0.
     """
-    raw = float(h.aut ** 2 * gamma_matrix([h], w).entries[0, 0])
-    if clamp:
-        return max(raw, 0.0)
-    return raw
+    return max(float(h.aut ** 2 * gamma_matrix([h], w).entries[0, 0]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -317,9 +304,6 @@ class CovMatrix:
     @property
     def r(self) -> int:
         return len(self.labels)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries).min())
 
 
 def sigma_matrix(motifs, w: Graphon) -> CovMatrix:
@@ -440,8 +424,3 @@ def load_block_graphon(path: str) -> BlockGraphon:
     if not isinstance(data, dict) or "sizes" not in data or "values" not in data:
         raise ValueError(f"{path}: expected a JSON object with 'sizes' and 'values'")
     return BlockGraphon(data["sizes"], data["values"], name=path)
-
-
-def save_block_graphon(w: BlockGraphon, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump({"sizes": w.sizes.tolist(), "values": w.values.tolist()}, fh)

@@ -39,7 +39,7 @@ class DegenerateDensityError(ValueError):
 # essentially no finite-sample power against weakly irregular graphons
 # (n = 400 gives sqrt(n) R = 0.12 for the 6-block two-tripartite fixture, so
 # irregularity would never be declared); e = 0.93 separates the bundled
-# fixtures at n = 400 and is the default throughout the testimation pipeline.
+# fixtures at n = 400; the testimation pipeline always uses it.
 DEFAULT_REGULARITY_EXPONENT = 0.93
 
 
@@ -122,8 +122,7 @@ class ConfidenceReport:
         }
 
 
-def joint_confidence_set(g: Graph, motifs, alpha: float, B: int, seed,
-                         exponent: float = DEFAULT_REGULARITY_EXPONENT) -> ConfidenceReport:
+def joint_confidence_set(g: Graph, motifs, alpha: float, B: int, seed) -> ConfidenceReport:
     """Level 1-alpha joint confidence set for the motif density vector.
 
     Per motif, the regularity test picks the bootstrap branch (linear when
@@ -133,7 +132,7 @@ def joint_confidence_set(g: Graph, motifs, alpha: float, B: int, seed,
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     motifs = tuple(motifs)
-    tests = [regularity_test(g, h, exponent=exponent) for h in motifs]
+    tests = [regularity_test(g, h) for h in motifs]
     selected = tuple(i for i, t in enumerate(tests) if t.reject_regularity)
     branches = tuple("linear" if t.reject_regularity else "quadratic" for t in tests)
     draws = multiplier_draws(g, motifs, branches, B, seed)
@@ -165,8 +164,7 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
-def marginal_ci(g: Graph, h: Motif, alpha: float, B: int, seed,
-                exponent: float = DEFAULT_REGULARITY_EXPONENT) -> ConfidenceInterval:
+def marginal_ci(g: Graph, h: Motif, alpha: float, B: int, seed) -> ConfidenceInterval:
     """Marginal confidence interval for t(h, W) via the testimation branch.
 
     Irregular branch: normal interval with the empirical 1-point variance.
@@ -176,7 +174,7 @@ def marginal_ci(g: Graph, h: Motif, alpha: float, B: int, seed,
     """
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    test = regularity_test(g, h, exponent=exponent)
+    test = regularity_test(g, h)
     t_hat = density_hat_t(h, g)
     n = g.n
     if test.reject_regularity:
@@ -274,7 +272,7 @@ class StructureAltParams:
     coefficients: tuple[float, float] | None = None
 
 
-def structure_alt_params(w: Graphon, tol: float = REGULARITY_TOL) -> StructureAltParams:
+def structure_alt_params(w: Graphon) -> StructureAltParams:
     """Classify w by K2/C4 regularity and return the matching f_hat limit.
 
     Case 1: both irregular; case 2: K2-irregular, C4-regular; case 3: K2-regular,
@@ -285,8 +283,8 @@ def structure_alt_params(w: Graphon, tol: float = REGULARITY_TOL) -> StructureAl
     t2 = hom_density(K2, w)
     t4 = hom_density(C4, w)
     f_value = t2 ** 4 - t4
-    k2_reg = r_k2 < tol
-    c4_reg = r_c4 < tol
+    k2_reg = r_k2 < REGULARITY_TOL
+    c4_reg = r_c4 < REGULARITY_TOL
     cross = K2.aut * C4.aut * gam[0, 1]
     grad2 = 4 * t2 ** 3
     common = dict(f_value=f_value, r_k2=r_k2, r_c4=r_c4, cross_cov=cross,
@@ -298,16 +296,7 @@ def structure_alt_params(w: Graphon, tol: float = REGULARITY_TOL) -> StructureAl
         return StructureAltParams(case=2, tau_sq=grad2 ** 2 * r_k2, **common)
     if k2_reg and not c4_reg:
         return StructureAltParams(case=3, tau_sq=r_c4, **common)
-    spec = build_limit_spec([K2, C4], w, tol=tol)
+    spec = build_limit_spec([K2, C4], w)
     coeff = (grad2 * K2.aut, -1.0 * C4.aut)
     return StructureAltParams(case=4, tau_sq=None, limit_spec=spec,
                               coefficients=coeff, **common)
-
-
-def clustering_coefficient(g: Graph) -> float:
-    """Global clustering coefficient 3 X(K3,G) / X(K_{1,2},G) (point estimate only)."""
-    from .motifs import K3, K12
-    stars = count_copies(K12, g)
-    if stars == 0:
-        raise ValueError("graph has no 2-stars; clustering coefficient undefined")
-    return 3 * count_copies(K3, g) / stars

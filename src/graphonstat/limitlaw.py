@@ -43,6 +43,8 @@ REGULARITY_TOL = 1e-9
 _PSD_TOL = 1e-8
 SPECTRAL_CUT = 1e-12
 _CHUNK = 4096
+_SERIES_TOL = 1e-12          # log-MGF series: stop once both terms fall below
+_SERIES_TERMS = 200          # log-MGF series: raise past this many terms
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,10 @@ class LimitSpec:
         return len(self.motifs)
 
 
-def build_limit_spec(motifs, w: Graphon, grid: int = DEFAULT_GRID,
-                     tol: float = REGULARITY_TOL) -> LimitSpec:
+def build_limit_spec(motifs, w: Graphon, grid: int = DEFAULT_GRID) -> LimitSpec:
     """Classify each motif by the regularity functional and fill in sigma."""
     motifs = tuple(motifs)
-    regular = tuple(regularity_R_graphon(h, w) < tol for h in motifs)
+    regular = tuple(regularity_R_graphon(h, w) < REGULARITY_TOL for h in motifs)
     reg_motifs = tuple(h for h, r in zip(motifs, regular) if r)
     sigma = sigma_matrix(reg_motifs, w) if reg_motifs else None
     return LimitSpec(motifs, regular, w, grid, sigma)
@@ -293,8 +294,7 @@ def _eta_regular(spec: LimitSpec, alpha) -> float:
     return total - 2 * c_sum ** 2
 
 
-def log_mgf_oracle(spec: LimitSpec, alpha, theta: float,
-                   series_tol: float = 1e-12, max_terms: int = 200) -> float:
+def log_mgf_oracle(spec: LimitSpec, alpha, theta: float) -> float:
     """log E[exp(theta alpha' Z)] via the absolutely convergent series.
 
     Quadratic term (eta + eta~) theta^2/2 from join densities, then for L >= 1
@@ -326,16 +326,16 @@ def log_mgf_oracle(spec: LimitSpec, alpha, theta: float,
         a_op += a * (phi * lam) @ phi.T
     lam = np.linalg.eigvalsh(a_op)
     w_l = v.copy()
-    for ell in range(1, max_terms + 1):
+    for ell in range(1, _SERIES_TERMS + 1):
         w_l = a_op @ w_l
         term_v = 2.0 ** (ell - 1) * theta ** (ell + 2) * float(v @ w_l)
         term_t = 0.0
         if ell >= 3:
             term_t = 0.5 * (2 * theta) ** ell / ell * float((lam ** ell).sum())
         total += term_v + term_t
-        if ell >= 3 and abs(term_v) < series_tol and abs(term_t) < series_tol:
+        if ell >= 3 and abs(term_v) < _SERIES_TOL and abs(term_t) < _SERIES_TOL:
             return float(total)
-    raise RuntimeError(f"log-MGF series did not reach {series_tol} in {max_terms} terms")
+    raise RuntimeError(f"log-MGF series did not reach {_SERIES_TOL} in {_SERIES_TERMS} terms")
 
 
 def empirical_log_mgf(samples: np.ndarray, theta: float) -> float:

@@ -84,13 +84,6 @@ class Motif:
     def neighbors(self, v: int) -> list[int]:
         return sorted(u for e in self.edges for u in e if v in e and u != v)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        deg = [0] * self.k
-        for (u, v) in self.edges:
-            deg[u - 1] += 1
-            deg[v - 1] += 1
-        return tuple(sorted(deg))
-
     def relabel(self, perm: dict[int, int]) -> "Motif":
         """Apply a bijection {1..k}->{1..k} to the vertex labels."""
         return Motif.from_edges(self.k, ((perm[u], perm[v]) for u, v in self.edges))
@@ -134,23 +127,6 @@ class MultiMotif:
     @property
     def multiplicities(self) -> dict[Edge, int]:
         return dict(self.edges)
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.edges)
-
-    def is_simple(self) -> bool:
-        return all(m == 1 for _, m in self.edges)
-
-    def as_motif(self) -> Motif:
-        if not self.is_simple():
-            raise ValueError("multigraph has a repeated edge; not a simple motif")
-        return Motif.from_edges(self.k, (e for e, _ in self.edges))
-
-    def drop_edge(self, u: int, v: int) -> "MultiMotif":
-        mult = self.multiplicities
-        mult.pop(_norm_edge(u, v), None)
-        return MultiMotif.from_multiplicities(self.k, mult)
 
     def canonical_key(self):
         """Equal for two graphs exactly when they are isomorphic (see `_canonical_form`)."""
@@ -307,16 +283,6 @@ def _pin_orbits(h: Motif | MultiMotif, size: int) -> dict[tuple, list[tuple[int,
         colours = tuple(int(v in pins) for v in range(1, mm.k + 1))
         orbits.setdefault(_canonical_form(mm.k, mm.edges, colours)[0], []).append(pins)
     return orbits
-
-
-def automorphism_count(m: Motif) -> int:
-    """|Aut(m)|, from the canonical form (the same value as m.aut)."""
-    return m.aut
-
-
-def is_isomorphic(m1: Motif, m2: Motif) -> bool:
-    """Edge-preserving bijection test: the canonical keys agree."""
-    return m1.canonical_key() == m2.canonical_key()
 
 
 def vertex_join(h1: Motif, a: int, h2: Motif, b: int) -> Motif:

@@ -54,7 +54,7 @@ class TestGraphType:
         with pytest.raises(ValueError):
             parse_edge_list("0 0\n")
         with pytest.raises(ValueError):
-            parse_edge_list("0 5\n", n=3)
+            parse_edge_list("# n=3\n0 5\n")
         with pytest.raises(ValueError):
             parse_edge_list("0 1 2\n")
 
@@ -286,6 +286,8 @@ class TestOrbitDispatch:
                 want = np.asarray(want, dtype=float)
                 want = want + want.T
             got = form(g)
+            if len(pins) == 2:
+                assert got.dtype == np.float64
             if pins:
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)

@@ -3,8 +3,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from graphonstat import (K2, K3, C4, DegenerateDensityError,
-                         clustering_coefficient, constant_graphon,
+from graphonstat import (K2, K3, C4, DegenerateDensityError, constant_graphon,
                          density_hat_t, empirical_quantile, hom_density,
                          joint_confidence_set, marginal_ci, multiplier_draws,
                          regularity_test,
@@ -204,18 +203,3 @@ class TestStructureAltParams:
                                       - density_hat_t(C4, g) - ap.f_value))
         mc = np.var(vals, ddof=1)
         assert abs(mc - ap.tau_sq) <= 0.15 * ap.tau_sq
-
-
-class TestClusteringCoefficient:
-    def test_complete_graph_is_one(self):
-        g = random_graph(6, 1.1, seed=0)
-        assert clustering_coefficient(g) == pytest.approx(1.0)
-
-    def test_triangle_with_pendant(self):
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-        # one triangle, stars: C(3,2) + 1 + 1 + 0 = 5
-        assert clustering_coefficient(g) == pytest.approx(3 / 5)
-
-    def test_star_has_no_clustering(self):
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert clustering_coefficient(g) == 0.0

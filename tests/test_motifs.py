@@ -5,9 +5,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphonstat import (K2, K3, C4, K12, Motif, MultiMotif, MotifSizeError,
-                         automorphism_count, clique, cycle, edge_join,
-                         is_isomorphic, parse_motif, path, star, vertex_join)
+from graphonstat import (K2, K3, C4, K12, Motif, MultiMotif, MotifSizeError, clique,
+                         cycle, edge_join, parse_motif, path, star, vertex_join)
 import graphonstat.motifs as motif_module
 
 from oracles import all_motifs_up_to, brute_pin_orbits, canonical_multigraph_key
@@ -33,36 +32,36 @@ def motifs(draw, max_k=6):
 
 class TestAutomorphisms:
     def test_edge(self):
-        assert automorphism_count(K2) == 2
+        assert K2.aut == 2
 
     def test_triangle(self):
-        assert automorphism_count(K3) == 6
+        assert K3.aut == 6
 
     def test_two_star(self):
         # independent check: of the 6 permutations of 3 vertices, exactly the
         # identity and the leaf swap preserve the star
         assert brute_aut(K12) == 2
-        assert automorphism_count(K12) == 2
+        assert K12.aut == 2
 
     def test_c4(self):
-        assert automorphism_count(C4) == 8
+        assert C4.aut == 8
 
     def test_cap(self):
         big = clique(8)
         assert big.aut == 40320
         # the centre is fixed; each 7-clique is permuted freely, and the two swap
-        assert automorphism_count(vertex_join(big, 1, big, 1)) == 2 * factorial(7) ** 2
+        assert vertex_join(big, 1, big, 1).aut == 2 * factorial(7) ** 2
 
     @given(motifs())
     @settings(max_examples=60, deadline=None)
     def test_relabeling_invariance(self, m):
         perm = dict(zip(range(1, m.k + 1), range(m.k, 0, -1)))
-        assert automorphism_count(m.relabel(perm)) == automorphism_count(m)
+        assert m.relabel(perm).aut == m.aut
 
     @given(motifs(max_k=5))
     @settings(max_examples=40, deadline=None)
     def test_matches_independent_enumeration(self, m):
-        assert automorphism_count(m) == brute_aut(m)
+        assert m.aut == brute_aut(m)
 
 
 def random_relabel(m, rng):
@@ -129,7 +128,7 @@ class TestCanonicalForm:
             ours.setdefault(j.canonical_key(), set()).add(j)
             brute.setdefault(canonical_multigraph_key(j.k, j.edges), set()).add(j)
         assert set(map(frozenset, ours.values())) == set(map(frozenset, brute.values()))
-        assert any(not j.is_simple() for j in joins)
+        assert any(max(j.multiplicities.values()) > 1 for j in joins)
 
     def test_beyond_the_old_caps(self):
         assert cycle(8).aut == 16
@@ -154,14 +153,14 @@ class TestCanonicalForm:
 class TestVertexJoin:
     def test_two_edges_make_a_path(self):
         joined = vertex_join(K2, 1, K2, 1)
-        assert is_isomorphic(joined, K12)
-        assert is_isomorphic(joined, path(3))
+        assert joined.canonical_key() == K12.canonical_key()
+        assert joined.canonical_key() == path(3).canonical_key()
 
     def test_pan_graph(self):
         # triangle with a pendant edge
         pan = vertex_join(K2, 1, K3, 1)
         assert pan.k == 4 and pan.n_edges == 4
-        assert sorted(pan.degree_sequence()) == [1, 2, 2, 3]
+        assert sorted(len(pan.neighbors(v)) for v in range(1, 5)) == [1, 2, 2, 3]
 
     def test_invalid_vertex(self):
         with pytest.raises(ValueError):
@@ -179,11 +178,13 @@ class TestVertexJoin:
         assert j.n_edges == h1.n_edges + h2.n_edges
 
 
+DIAMOND = Motif.from_edges(4, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
+
+
 class TestEdgeJoin:
     def test_weak_join_of_edges(self):
         j = edge_join(K2, (1, 2), K2, (1, 2), "weak")
-        assert j.is_simple()
-        assert is_isomorphic(j.as_motif(), K2)
+        assert j.canonical_key() == K2.canonical_key()
 
     def test_strong_join_of_edges_doubles(self):
         j = edge_join(K2, (1, 2), K2, (1, 2), "strong")
@@ -193,14 +194,13 @@ class TestEdgeJoin:
     def test_weak_join_of_triangles(self):
         j = edge_join(K3, (1, 2), K3, (1, 2), "weak")
         assert j.k == 4
-        assert j.is_simple()
-        assert j.total_multiplicity == 5
-        # two triangles sharing one edge: degree sequence 2,2,3,3
-        assert j.as_motif().degree_sequence() == (2, 2, 3, 3)
+        assert sum(j.multiplicities.values()) == 5
+        # two triangles sharing one edge: simple, the diamond K4 less an edge
+        assert j.canonical_key() == DIAMOND.canonical_key()
 
     def test_strong_join_of_triangles(self):
         j = edge_join(K3, (1, 2), K3, (1, 2), "strong")
-        assert j.total_multiplicity == 6
+        assert sum(j.multiplicities.values()) == 6
         assert j.multiplicities[(1, 2)] == 2
 
     def test_non_edge_rejected_when_strict(self):
@@ -217,7 +217,7 @@ class TestEdgeJoin:
     def test_ordered_pairs_matter(self):
         # joining triangle edges in opposite orientations still merges 2 vertices
         j = edge_join(K3, (1, 2), K3, (2, 1), "weak")
-        assert j.k == 4 and j.is_simple()
+        assert j.canonical_key() == DIAMOND.canonical_key()
 
     @given(motifs(max_k=5), motifs(max_k=5), st.data())
     @settings(max_examples=60, deadline=None)
@@ -233,19 +233,20 @@ class TestEdgeJoin:
         merged = (min(a, b), max(a, b))
         assert weak.multiplicities[merged] == 1
         assert strong.multiplicities[merged] == 2
-        assert weak.drop_edge(*merged) == strong.drop_edge(*merged)
+        rest = [{e: m for e, m in j.multiplicities.items() if e != merged} for j in (weak, strong)]
+        assert rest[0] == rest[1]
 
 
 class TestIsomorphism:
     def test_relabelled_triangle(self):
         other = Motif.from_edges(3, [(3, 2), (2, 1), (1, 3)])
-        assert is_isomorphic(K3, other)
+        assert K3.canonical_key() == other.canonical_key()
 
     def test_path_is_two_star(self):
-        assert is_isomorphic(K12, Motif.from_edges(3, [(1, 2), (2, 3)]))
+        assert K12.canonical_key() == Motif.from_edges(3, [(1, 2), (2, 3)]).canonical_key()
 
     def test_different_edge_counts(self):
-        assert not is_isomorphic(K12, K3)
+        assert K12.canonical_key() != K3.canonical_key()
 
     def test_equivalence_relation_on_corpus(self):
         corpus = [K2, K3, C4, K12, path(4), star(3), clique(4),
@@ -253,12 +254,13 @@ class TestIsomorphism:
                   Motif.from_edges(4, [(2, 1), (4, 3)]),
                   cycle(4).relabel({1: 3, 2: 1, 3: 4, 4: 2})]
         for a in corpus:
-            assert is_isomorphic(a, a)
+            assert a.canonical_key() == a.canonical_key()
             for b in corpus:
-                assert is_isomorphic(a, b) == is_isomorphic(b, a)
+                assert (a.canonical_key() == b.canonical_key()) == \
+                    (b.canonical_key() == a.canonical_key())
                 for c in corpus:
-                    if is_isomorphic(a, b) and is_isomorphic(b, c):
-                        assert is_isomorphic(a, c)
+                    if a.canonical_key() == b.canonical_key() == c.canonical_key():
+                        assert a.canonical_key() == c.canonical_key()
 
 
 class TestValidation:
@@ -276,7 +278,7 @@ class TestValidation:
 
     def test_multimotif_roundtrip(self):
         mm = MultiMotif.from_multiplicities(3, {(1, 2): 1, (2, 3): 1})
-        assert is_isomorphic(mm.as_motif(), K12)
+        assert mm.canonical_key() == K12.canonical_key()
 
     def test_multimotif_rejects_bad_multiplicity(self):
         with pytest.raises(ValueError):
@@ -289,7 +291,7 @@ class TestParse:
         ("n=4;edges=1-2,2-3,3-4,4-1", C4),
     ])
     def test_literals(self, text, expected):
-        assert is_isomorphic(parse_motif(text), expected)
+        assert parse_motif(text).canonical_key() == expected.canonical_key()
 
     def test_explicit_with_isolated_vertex(self):
         m = parse_motif("n=3;edges=1-2")
