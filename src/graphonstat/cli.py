@@ -120,14 +120,19 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _level(text: str) -> float:
-    try:
-        alpha = float(text)
-    except ValueError:
-        alpha = float("nan")
-    if not 0 < alpha < 1:
-        raise argparse.ArgumentTypeError(f"expected a level in (0, 1), got {text!r}")
-    return alpha
+def _open_interval(lo: float, hi: float, what: str):
+    """Parser of a float strictly between lo and hi; NaN and non-numbers fail."""
+    def parse(text: str) -> float:
+        try:
+            if lo < float(text) < hi:
+                return float(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_level = _open_interval(0, 1, "a level in (0, 1)")
 
 
 # -- subcommand implementations -------------------------------------------------
@@ -308,8 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("regtest", _cmd_regtest, help="test H-regularity of the graphon")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--motif", required=True)
-    sp.add_argument("--threshold", type=float, default=1.0)
-    sp.add_argument("--exponent", type=float, default=DEFAULT_REGULARITY_EXPONENT,
+    sp.add_argument("--threshold", type=_open_interval(0, np.inf, "a finite threshold > 0"),
+                    default=1.0)
+    sp.add_argument("--exponent", type=_open_interval(0, 1, "an exponent in (0, 1)"),
+                    default=DEFAULT_REGULARITY_EXPONENT,
                     help="rate exponent e of the statistic n^e R (0.5 = sqrt(n) form)")
 
     sp = add("ci", _cmd_ci, help="marginal confidence interval for a motif density")

@@ -370,10 +370,6 @@ def regularity_R_empirical(h: Motif, g: Graph) -> float:
 
     R = sum_{a,b} t_hat(h (+)_{a,b} h, g) - |V(h)|^2 t_hat(h,g)^2.
     """
-    if g.n < 2 * h.k - 1:
-        raise GraphSizeError(
-            f"graph has {g.n} vertices; largest vertex join of a {h.k}-vertex "
-            f"motif needs {2 * h.k - 1}")
     groups: dict = {}
     for a in range(1, h.k + 1):
         for b in range(1, h.k + 1):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -262,19 +263,6 @@ def conditional_kernel_2pt(h: Motif, w: Graphon, x) -> KernelMatrix:
 
 # -- regularity and covariance matrices ---------------------------------------
 
-def _join_density_cached(join, w, cache):
-    try:
-        key = join.canonical_key()
-    except MotifSizeError:
-        key = None
-    if key is not None and key in cache:
-        return cache[key]
-    val = hom_density(join, w)
-    if key is not None:
-        cache[key] = val
-    return val
-
-
 def regularity_R_graphon(h: Motif, w: Graphon) -> float:
     """R(h,w) = sum_{a,b} t(h (+)_{a,b} h, w) - |V|^2 t(h,w)^2; zero iff h-regular.
 
@@ -306,29 +294,44 @@ class CovMatrix:
         return len(self.labels)
 
 
+def _join_sums(motifs, w: Graphon, entry) -> CovMatrix:
+    """The symmetric matrix of entry(H_i, H_j, density) over the motifs, filled for
+    i <= j; density(join) = t(join, w), integrated once per canonical key."""
+    motifs = tuple(motifs)
+    if not motifs:
+        raise ValueError("empty motif list")
+    cache: dict = {}
+
+    def density(join):
+        try:
+            key = join.canonical_key()
+        except MotifSizeError:          # too large to key: integrated each time
+            return hom_density(join, w)
+        if key not in cache:
+            cache[key] = hom_density(join, w)
+        return cache[key]
+
+    out = np.zeros((len(motifs), len(motifs)))
+    for i, hi in enumerate(motifs):
+        for j in range(i, len(motifs)):
+            out[i, j] = out[j, i] = entry(hi, motifs[j], density)
+    return CovMatrix(motifs, out)
+
+
 def sigma_matrix(motifs, w: Graphon) -> CovMatrix:
     """Gaussian-block covariance for regular motifs from weak/strong edge joins.
 
     sigma_ij = (1/(2|Aut_i||Aut_j|)) sum over ordered edges (a,b) of H_i and
     (c,d) of H_j of [t(weak join) - t(strong join)].
     """
-    motifs = tuple(motifs)
-    if not motifs:
-        raise ValueError("empty motif list")
-    cache: dict = {}
-    r = len(motifs)
-    out = np.zeros((r, r))
-    for i in range(r):
-        for j in range(i, r):
-            hi, hj = motifs[i], motifs[j]
-            s = 0.0
-            for pa in hi.ordered_edges():
-                for pb in hj.ordered_edges():
-                    weak = _join_density_cached(edge_join(hi, pa, hj, pb, "weak"), w, cache)
-                    strong = _join_density_cached(edge_join(hi, pa, hj, pb, "strong"), w, cache)
-                    s += weak - strong
-            out[i, j] = out[j, i] = s / (2 * hi.aut * hj.aut)
-    return CovMatrix(motifs, out)
+    def entry(hi, hj, density):
+        s = 0.0
+        for pa, pb in product(hi.ordered_edges(), hj.ordered_edges()):
+            s += (density(edge_join(hi, pa, hj, pb, "weak"))
+                  - density(edge_join(hi, pa, hj, pb, "strong")))
+        return s / (2 * hi.aut * hj.aut)
+
+    return _join_sums(motifs, w, entry)
 
 
 def gamma_matrix(motifs, w: Graphon) -> CovMatrix:
@@ -338,22 +341,15 @@ def gamma_matrix(motifs, w: Graphon) -> CovMatrix:
              - |V_i||V_j| t(H_i,w) t(H_j,w)]; the diagonal is R(H_i,w)/|Aut_i|^2.
     """
     motifs = tuple(motifs)
-    if not motifs:
-        raise ValueError("empty motif list")
-    cache: dict = {}
-    dens = [hom_density(h, w) for h in motifs]
-    r = len(motifs)
-    out = np.zeros((r, r))
-    for i in range(r):
-        for j in range(i, r):
-            hi, hj = motifs[i], motifs[j]
-            s = 0.0
-            for a in range(1, hi.k + 1):
-                for b in range(1, hj.k + 1):
-                    s += _join_density_cached(vertex_join(hi, a, hj, b), w, cache)
-            val = (s - hi.k * hj.k * dens[i] * dens[j]) / (hi.aut * hj.aut)
-            out[i, j] = out[j, i] = val
-    return CovMatrix(motifs, out)
+    dens = {h: hom_density(h, w) for h in motifs}
+
+    def entry(hi, hj, density):
+        s = 0.0
+        for a, b in product(range(1, hi.k + 1), range(1, hj.k + 1)):
+            s += density(vertex_join(hi, a, hj, b))
+        return (s - hi.k * hj.k * dens[hi] * dens[hj]) / (hi.aut * hj.aut)
+
+    return _join_sums(motifs, w, entry)
 
 
 # -- builtin graphons and file I/O --------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 from .bootstrap import empirical_quantile, multiplier_draws
 from .counting import (Graph, count_copies, density_hat_t, falling_factorial,
                        one_point_density, regularity_R_empirical)
-from .graphon import Graphon, gamma_matrix, hom_density
-from .limitlaw import LimitSpec, build_limit_spec, REGULARITY_TOL
+from .graphon import Graphon, gamma_matrix, hom_density, regularity_R_graphon
+from .limitlaw import LimitSpec, build_limit_spec
 from .motifs import C4, K2, Motif
 
 
@@ -59,7 +59,11 @@ def regularity_test(g: Graph, h: Motif, threshold: float = 1.0,
 
     The threshold is exactly 1; exponent=0.5 recovers the sqrt(n) R form of
     the indicator test, any exponent in (0,1) is asymptotically valid.
+    ValueError for an exponent outside (0, 1) or a threshold not in (0, inf).
     """
+    if not (0 < exponent < 1 and 0 < threshold < math.inf):
+        raise ValueError(f"need exponent in (0, 1) and threshold in (0, inf), "
+                         f"got {exponent} and {threshold}")
     r = regularity_R_empirical(h, g)
     stat = g.n ** exponent * r
     return RegularityTest(h, stat, r, threshold, exponent, stat > threshold)
@@ -208,8 +212,6 @@ def structure_stat(g: Graph) -> StructureStat:
     t_n = n^(3/2) f_hat / (4 sqrt(2) t_hat(K2)^3 (1 - t_hat(K2))); an empty or
     complete graph makes the studentizer vanish and raises.
     """
-    if g.n < 4:
-        raise ValueError(f"structure statistic needs n >= 4, got {g.n}")
     t2 = density_hat_t(K2, g)
     t4 = density_hat_t(C4, g)
     f_hat = t2 ** 4 - t4
@@ -277,26 +279,17 @@ def structure_alt_params(w: Graphon) -> StructureAltParams:
 
     Case 1: both irregular; case 2: K2-irregular, C4-regular; case 3: K2-regular,
     C4-irregular; case 4: both regular (non-Gaussian limit, sampler handle).
+    The verdicts are those of `build_limit_spec([K2, C4], w)`.
     """
-    gam = gamma_matrix([K2, C4], w).entries
-    r_k2, r_c4 = (max(float(h.aut ** 2 * gam[i, i]), 0.0) for i, h in enumerate((K2, C4)))
-    t2 = hom_density(K2, w)
-    t4 = hom_density(C4, w)
-    f_value = t2 ** 4 - t4
-    k2_reg = r_k2 < REGULARITY_TOL
-    c4_reg = r_c4 < REGULARITY_TOL
-    cross = K2.aut * C4.aut * gam[0, 1]
-    grad2 = 4 * t2 ** 3
-    common = dict(f_value=f_value, r_k2=r_k2, r_c4=r_c4, cross_cov=cross,
-                  edge_density=t2, c4_density=t4)
-    if not k2_reg and not c4_reg:
-        tau_sq = grad2 ** 2 * r_k2 + r_c4 - 2 * grad2 * cross
-        return StructureAltParams(case=1, tau_sq=tau_sq, **common)
-    if not k2_reg and c4_reg:
-        return StructureAltParams(case=2, tau_sq=grad2 ** 2 * r_k2, **common)
-    if k2_reg and not c4_reg:
-        return StructureAltParams(case=3, tau_sq=r_c4, **common)
     spec = build_limit_spec([K2, C4], w)
-    coeff = (grad2 * K2.aut, -1.0 * C4.aut)
-    return StructureAltParams(case=4, tau_sq=None, limit_spec=spec,
-                              coefficients=coeff, **common)
+    irr = [i for i, reg in enumerate(spec.regular) if not reg]
+    aut = np.array([K2.aut, C4.aut])
+    cov = np.outer(aut, aut) * gamma_matrix([K2, C4], w).entries
+    t2, t4 = hom_density(K2, w), hom_density(C4, w)
+    grad = np.array([4 * t2 ** 3, -1.0])
+    return StructureAltParams(
+        case=1 + spec.regular[1] + 2 * spec.regular[0], f_value=t2 ** 4 - t4,
+        tau_sq=float(grad[irr] @ cov[np.ix_(irr, irr)] @ grad[irr]) if irr else None,
+        r_k2=regularity_R_graphon(K2, w), r_c4=regularity_R_graphon(C4, w),
+        cross_cov=cov[0, 1], edge_density=t2, c4_density=t4,
+        limit_spec=None if irr else spec, coefficients=None if irr else tuple(grad * aut))

@@ -19,7 +19,7 @@ chi-squared form of Bhattacharya, Chatterjee & Janson) and reads z only
 through d = (irregular motifs) + (kept ranks) directions, listed at
 `sample_limit`.  The marginal of a regular motif h is the column of
 `sample_limit(build_limit_spec([h], w), ...)`; `marginal_regular_law` holds
-its parameters (Gaussian std, kept spectrum, degeneracy warning).
+its parameters (Gaussian std, kept spectrum) and raises when h is irregular.
 
 A closed-form log moment generating function of any linear combination of the
 limit coordinates is provided as an independent numeric oracle: an absolutely
@@ -29,13 +29,13 @@ convergent series in path compositions of the combined quadratic kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 
 import numpy as np
 
-from .graphon import (_MAX_CELLS, QUAD_DEGREE, CovMatrix, Graphon, _discretize,
-                      _join_density_cached, conditional_kernel_2pt, degree_constant,
-                      gamma_matrix, hom_density, kernel_bound, regularity_R_graphon,
-                      sigma_matrix, tbar_1pt)
+from .graphon import (_MAX_CELLS, QUAD_DEGREE, CovMatrix, Graphon, _discretize, _join_sums,
+                      conditional_kernel_2pt, degree_constant, gamma_matrix, hom_density,
+                      kernel_bound, regularity_R_graphon, sigma_matrix, tbar_1pt)
 from .motifs import Motif, edge_join
 
 DEFAULT_GRID = _MAX_CELLS * QUAD_DEGREE   # cap on quadrature nodes per axis
@@ -75,7 +75,7 @@ class LimitSpec:
 
 
 def build_limit_spec(motifs, w: Graphon, grid: int = DEFAULT_GRID) -> LimitSpec:
-    """Classify each motif by the regularity functional and fill in sigma."""
+    """The one regularity verdict, R(h, w) < REGULARITY_TOL per motif; fills in sigma."""
     motifs = tuple(motifs)
     regular = tuple(regularity_R_graphon(h, w) < REGULARITY_TOL for h in motifs)
     reg_motifs = tuple(h for h, r in zip(motifs, regular) if r)
@@ -99,14 +99,12 @@ def centered_kernel(h: Motif, w: Graphon, x) -> np.ndarray:
 
 def _regular_spectrum(h: Motif, w: Graphon, x, weights):
     """The eigenpairs (lam, phi) of A = D^1/2 K D^1/2, K = centered_kernel(h, w, x),
-    with |lam| above SPECTRAL_CUT * kernel_bound(h), and the degree residual
-    max_i |(W_H 1)(x_i) - d_WH|, 0 when w is h-regular (then A has the
-    spectrum of W_H less its eigenvalue d_WH)."""
-    k = centered_kernel(h, w, x)
+    with |lam| above SPECTRAL_CUT * kernel_bound(h); when w is h-regular, A has
+    the spectrum of W_H less its eigenvalue d_WH."""
     root = np.sqrt(weights)
-    lam, phi = np.linalg.eigh(root[:, None] * k * root)
+    lam, phi = np.linalg.eigh(root[:, None] * centered_kernel(h, w, x) * root)
     keep = np.abs(lam) > SPECTRAL_CUT * kernel_bound(h)
-    return lam[keep], phi[:, keep], float(np.abs(k @ weights).max())
+    return lam[keep], phi[:, keep]
 
 
 def _law_on_nodes(motifs, regular, w: Graphon, grid: int):
@@ -125,7 +123,7 @@ def _law_on_nodes(motifs, regular, w: Graphon, grid: int):
     def params(law):
         profiles, spectra = law
         return np.concatenate([(profiles @ profiles.T).ravel()] + [
-            np.sort(np.concatenate([lam, np.zeros(grid - len(lam))])) for lam, _, _ in spectra])
+            np.sort(np.concatenate([lam, np.zeros(grid - len(lam))])) for lam, _ in spectra])
 
     return _discretize(w, evaluate, params, grid, lambda: f"limit law of {len(motifs)} motifs")[2]
 
@@ -133,8 +131,7 @@ def _law_on_nodes(motifs, regular, w: Graphon, grid: int):
 def _sigma_factor(sigma: CovMatrix | None, n_reg: int) -> np.ndarray:
     if n_reg == 0:
         return np.zeros((0, 0))
-    ent = sigma.entries
-    vals, vecs = np.linalg.eigh(ent)
+    vals, vecs = np.linalg.eigh(sigma.entries)
     scale = max(1.0, float(np.abs(vals).max()))
     if vals.min() < -_PSD_TOL * scale:
         raise ValueError(f"sigma is not positive semidefinite: min eigenvalue {vals.min()}")
@@ -194,14 +191,14 @@ def sample_limit(spec: LimitSpec, draws: int, seed) -> np.ndarray:
     reg = np.asarray(spec.regular, dtype=bool)
     profiles, spectra = _law_on_nodes(spec.motifs, reg, spec.graphon, spec.grid)
     q1, r1 = np.linalg.qr(profiles.T)
-    phi = np.hstack([np.zeros((len(q1), 0))] + [vecs for _, vecs, _ in spectra])
+    phi = np.hstack([np.zeros((len(q1), 0))] + [vecs for _, vecs in spectra])
     proj = q1.T @ phi
     rest = phi - q1 @ proj
     _, sv, vt = np.linalg.svd(rest, full_matrices=False)
     coef = np.vstack([proj, (vt.T * sv) @ vt])
-    cols = np.cumsum([0] + [len(lam) for lam, _, _ in spectra])
+    cols = np.cumsum([0] + [len(lam) for lam, _ in spectra])
     forms = [("linear", v) for v in r1.T] + [
-        ("spectral", lam, coef[:, lo:hi]) for (lam, _, _), lo, hi in zip(spectra, cols, cols[1:])]
+        ("spectral", lam, coef[:, lo:hi]) for (lam, _), lo, hi in zip(spectra, cols, cols[1:])]
     eta_rng, g_rng, rest_rng = (np.random.default_rng(s)
                                 for s in np.random.SeedSequence(seed).spawn(3))
     chaos = _chaos_draws([(eta_rng, q1.shape[1]), (rest_rng, cols[-1])], draws, forms)
@@ -222,8 +219,6 @@ class RegularMarginalLaw:
     motif: Motif
     sigma: float                  # standard deviation of the Gaussian part
     spectrum: np.ndarray          # kept eigenvalues of A = D^1/2 K D^1/2
-    d_wh: float
-    degeneracy_warning: bool
 
     def variance(self) -> float:
         return self.sigma ** 2 + 2 * float((self.spectrum ** 2).sum())
@@ -232,16 +227,15 @@ class RegularMarginalLaw:
 def marginal_regular_law(h: Motif, w: Graphon, grid: int = DEFAULT_GRID) -> RegularMarginalLaw:
     """Marginal law of a regular motif: Gaussian std plus the kept spectrum.
 
-    The spectrum is the one `sample_limit` draws from (`_law_on_nodes`); the
-    law's draws are `sample_limit(build_limit_spec([h], w, grid), draws, seed)[:, 0]`.
-    The warning flag is set when the degree residual exceeds 0.05 |d_WH|: W_H
-    is then far from having constant degree d_WH, so h is not regular in w.
+    The law is that of `spec = build_limit_spec([h], w, grid)`, whose draws are
+    `sample_limit(spec, draws, seed)[:, 0]`; ValueError when the spec finds h
+    irregular in w, as the law is then the Gaussian of `gamma_matrix`.
     """
-    _, [(spectrum, _, residual)] = _law_on_nodes([h], [True], w, grid)
-    d = degree_constant(h, w)
-    var = sigma_matrix([h], w).entries[0, 0]
-    sigma = float(np.sqrt(max(var, 0.0)))
-    return RegularMarginalLaw(h, sigma, spectrum, d, residual > 0.05 * abs(d))
+    spec = build_limit_spec([h], w, grid)
+    if not spec.regular[0]:
+        raise ValueError(f"{h!r} is not regular in {w.name!r}: R(h, w) >= {REGULARITY_TOL:g}")
+    _, [(spectrum, _)] = _law_on_nodes(spec.motifs, spec.regular, w, grid)
+    return RegularMarginalLaw(h, float(np.sqrt(max(spec.sigma.entries[0, 0], 0.0))), spectrum)
 
 
 # -- log moment generating function oracle -------------------------------------
@@ -261,36 +255,26 @@ def mgf_radius_constant(spec: LimitSpec, alpha) -> float:
     return c
 
 
-def _eta_irregular(spec: LimitSpec, alpha) -> float:
-    idx = [i for i, reg in enumerate(spec.regular) if not reg]
-    if not idx:
-        return 0.0
-    motifs = [spec.motifs[i] for i in idx]
-    a = np.asarray(alpha, dtype=float)[idx]
-    gam = gamma_matrix(motifs, spec.graphon).entries
-    return float(a @ gam @ a)
-
-
 def _eta_regular(spec: LimitSpec, alpha) -> float:
     idx = [i for i, reg in enumerate(spec.regular) if reg]
     if not idx:
         return 0.0
-    a = np.asarray(alpha, dtype=float)
-    w = spec.graphon
-    cache: dict = {}
-    total = 0.0
-    c_sum = 0.0
-    for i in idx:
-        hi = spec.motifs[i]
-        c_sum += a[i] * degree_constant(hi, w)
-        for j in idx:
-            hj = spec.motifs[j]
-            s = 0.0
-            for pa in ((x, y) for x in range(1, hi.k + 1) for y in range(1, hi.k + 1) if x != y):
-                for pb in ((x, y) for x in range(1, hj.k + 1) for y in range(1, hj.k + 1) if x != y):
-                    join = edge_join(hi, pa, hj, pb, "weak", strict=False)
-                    s += _join_density_cached(join, w, cache)
-            total += a[i] * a[j] * s / (2 * hi.aut * hj.aut)
+    a = np.asarray(alpha, dtype=float)[idx]
+    motifs = [spec.motifs[i] for i in idx]
+
+    def entry(hi, hj, density):
+        s = 0.0
+        for pa, pb in product(permutations(range(1, hi.k + 1), 2),
+                              permutations(range(1, hj.k + 1), 2)):
+            s += density(edge_join(hi, pa, hj, pb, "weak", strict=False))
+        return s
+
+    sums = _join_sums(motifs, spec.graphon, entry).entries
+    total = c_sum = 0.0
+    for p, hi in enumerate(motifs):
+        c_sum += a[p] * degree_constant(hi, spec.graphon)
+        for q, hj in enumerate(motifs):
+            total += a[p] * a[q] * sums[p, q] / (2 * hi.aut * hj.aut)
     return total - 2 * c_sum ** 2
 
 
@@ -314,15 +298,17 @@ def log_mgf_oracle(spec: LimitSpec, alpha, theta: float) -> float:
     if theta == 0:
         return 0.0
 
-    total = (_eta_irregular(spec, alpha) + _eta_regular(spec, alpha)) * theta ** 2 / 2
     reg = np.asarray(spec.regular, dtype=bool)
+    irr = [h for h, r in zip(spec.motifs, reg) if not r]
+    eta = float(alpha[~reg] @ gamma_matrix(irr, spec.graphon).entries @ alpha[~reg]) if irr else 0.0
+    total = (eta + _eta_regular(spec, alpha)) * theta ** 2 / 2
     if not reg.any():
         return float(total)
 
     profiles, spectra = _law_on_nodes(spec.motifs, reg, spec.graphon, spec.grid)
     v = alpha[~reg] @ profiles
     a_op = np.zeros((len(v), len(v)))
-    for a, (lam, phi, _) in zip(alpha[reg], spectra):
+    for a, (lam, phi) in zip(alpha[reg], spectra):
         a_op += a * (phi * lam) @ phi.T
     lam = np.linalg.eigvalsh(a_op)
     w_l = v.copy()

@@ -124,6 +124,19 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "level in (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,value", [
+        ("--exponent", "nan"), ("--exponent", "0"), ("--exponent", "1"), ("--exponent", "1e6"),
+        ("--threshold", "inf"), ("--threshold", "nan"), ("--threshold", "0"), ("--threshold", "-1"),
+    ])
+    def test_regtest_rate_options_are_config_errors(self, option, value, capsys):
+        # rejected while parsing, before the graph is read: no NaN or
+        # Infinity statistic reaches the JSON summary
+        with pytest.raises(SystemExit) as exc:
+            main(["regtest", "--graph", "g.txt", "--motif", "k2", option, value])
+        assert exc.value.code == 2
+        assert {"--exponent": "an exponent in (0, 1)",
+                "--threshold": "a finite threshold > 0"}[option] in capsys.readouterr().err
+
     def test_regtest_on_eight_vertex_motif_raises_at_once(self, graph_file, capsys):
         # the 15-vertex joins of C8 have Bell(15) ~ 1.4e9 vertex partitions
         t = time.perf_counter()

@@ -3,8 +3,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from graphonstat import (K2, K3, C4, DegenerateDensityError, constant_graphon,
-                         density_hat_t, empirical_quantile, hom_density,
+from graphonstat import (K2, K3, C4, DegenerateDensityError, build_limit_spec,
+                         constant_graphon, density_hat_t, empirical_quantile, hom_density,
                          joint_confidence_set, marginal_ci, multiplier_draws,
                          regularity_test,
                          sample_graph, structure_alt_params,
@@ -42,6 +42,14 @@ class TestRegularityTest:
         g = random_graph(50, 0.5, seed=3)
         t = regularity_test(g, K2, exponent=0.5)
         assert t.statistic == pytest.approx(np.sqrt(50) * t.r_value)
+
+    @pytest.mark.parametrize("exponent,threshold", [
+        (float("nan"), 1.0), (0.0, 1.0), (1.0, 1.0), (1e6, 1.0),
+        (0.5, float("inf")), (0.5, float("nan")), (0.5, 0.0), (0.5, -1.0)])
+    def test_rate_outside_range_raises(self, exponent, threshold):
+        g = random_graph(10, 0.5, seed=3)
+        with pytest.raises(ValueError, match="exponent in"):
+            regularity_test(g, K2, threshold=threshold, exponent=exponent)
 
 
 class TestJointConfidenceSet:
@@ -164,14 +172,14 @@ class TestStructureAltParams:
                                  w_bipartite_half, w_six_block,
                                  w_degree_regular_c4_irregular,
                                  w_c4_regular_degree_irregular):
-        assert structure_alt_params(w_affine).case == 1
-        assert structure_alt_params(w_product).case == 1
-        assert structure_alt_params(w_six_block).case == 1
-        assert structure_alt_params(w_c4_regular_degree_irregular).case == 2
-        assert structure_alt_params(w_degree_regular_c4_irregular).case == 3
-        assert structure_alt_params(w_two_community).case == 4
-        assert structure_alt_params(w_bipartite_half).case == 4
-        assert structure_alt_params(constant_graphon(0.3)).case == 4
+        # case 1 + [C4 regular] + 2 [K2 regular], the verdicts of build_limit_spec
+        flags = {1: (False, False), 2: (False, True), 3: (True, False), 4: (True, True)}
+        for w, case in ((w_affine, 1), (w_product, 1), (w_six_block, 1),
+                        (w_c4_regular_degree_irregular, 2),
+                        (w_degree_regular_c4_irregular, 3), (w_two_community, 4),
+                        (w_bipartite_half, 4), (constant_graphon(0.3), 4)):
+            assert structure_alt_params(w).case == case
+            assert build_limit_spec([K2, C4], w).regular == flags[case]
 
     def test_case4_handle(self, w_const_half):
         ap = structure_alt_params(w_const_half)

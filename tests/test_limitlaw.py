@@ -175,7 +175,6 @@ class TestMarginalRegularLaw:
         law = marginal_regular_law(K2, w_const_half, grid=128)
         assert law.sigma == pytest.approx(np.sqrt(0.125), abs=1e-10)
         assert law.spectrum.size == 0
-        assert not law.degeneracy_warning
 
     def test_aligned_three_block_spectrum(self, w_two_community):
         # the law is read on the three blocks, exact at any grid: W_H = W/2
@@ -214,39 +213,49 @@ class TestMarginalRegularLaw:
 
     def test_degeneracy_warning_for_irregular_input(self):
         # one dense half-block: the degree of W_H = W/2 is 1/4 on the block
-        # and 0 off it, while d_WH = t/2 = 1/8, so the degree residual is 1/8
+        # and 0 off it, while d_WH = t/2 = 1/8, so K2 is irregular
         from graphonstat import BlockGraphon
         w = BlockGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]])
-        law = marginal_regular_law(K2, w, grid=128)
-        assert law.degeneracy_warning
+        with pytest.raises(ValueError, match="not regular"):
+            marginal_regular_law(K2, w, grid=128)
 
-    @pytest.mark.parametrize("wname,motif,warns", [
+    @pytest.mark.parametrize("wname,motif,irregular", [
         ("paper-w2", "k3", True), ("paper-w3", "k2", True), ("paper-w3", "c4", True),
-        ("paper-w1", "k3", True), ("half-block", "k2", True),
+        ("paper-w1", "k3", True), ("half-block", "k2", True), ("near-const", "k2", True),
         ("const:0.5", "k2", False), ("const:0.5", "k3", False), ("const:0.5", "c4", False),
         ("paper-w2", "k2", False), ("paper-w2", "c4", False), ("paper-w3", "k3", False),
         ("bipartite:0.5", "k3", False),
     ])
-    def test_degeneracy_warning_follows_degree_residual(self, wname, motif, warns):
-        # the step fixtures are exact on their blocks: regular pairs have a
-        # residual of at most 1.1e-16 |d_WH|, irregular pairs at least
-        # 0.13 |d_WH| (paper-w3, C4); K3 on paper-w1 has 0.99 |d_WH|
+    def test_degeneracy_warning_follows_degree_residual(self, wname, motif, irregular):
+        # the law raises exactly when build_limit_spec finds the motif
+        # irregular.  On near-const R(K2) = 1.0e-4: K2 is irregular, with a
+        # degree residual of only 0.0099 |d_WH| and a limit variance of 2.5e-5,
+        # not the 0.125 of a regular K2
         from graphonstat import BlockGraphon, parse_motif
-        w = (BlockGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]]) if wname == "half-block"
-             else graphon_by_name(wname))
-        assert marginal_regular_law(parse_motif(motif), w, grid=256).degeneracy_warning is warns
+        w = {"half-block": BlockGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]]),
+             "near-const": BlockGraphon([0.5, 0.5], [[0.5, 0.5], [0.5, 0.52]]),
+             }.get(wname) or graphon_by_name(wname)
+        h = parse_motif(motif)
+        assert build_limit_spec([h], w).regular == (not irregular,)
+        if irregular:
+            with pytest.raises(ValueError, match="not regular"):
+                marginal_regular_law(h, w, grid=256)
+        else:
+            assert marginal_regular_law(h, w, grid=256).motif == h
 
     def test_constant_graphon_decomposes_one_by_one_matrix(self, w_const_half, monkeypatch):
         # const:0.5 has one block: the law reads one node, and the centered
         # kernel of K2 and K3 is the 1 x 1 zero matrix, so the spectrum is empty
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        x, weights = block_rule(w_const_half)
         for h in (K2, K3):
-            lam, phi, residual = _regular_spectrum(h, w_const_half, *block_rule(w_const_half))
-            assert lam.shape == (0,) and phi.shape == (1, 0) and residual == 0.0
+            lam, phi = _regular_spectrum(h, w_const_half, x, weights)
+            assert lam.shape == (0,) and phi.shape == (1, 0)
+            assert np.abs(centered_kernel(h, w_const_half, x) @ weights).max() == 0.0
         assert calls == [(1, 1), (1, 1)]
-        lam, phi, _ = _regular_spectrum(K2, graphon_by_name("paper-w2"),
-                                        *block_rule(graphon_by_name("paper-w2")))
+        lam, phi = _regular_spectrum(K2, graphon_by_name("paper-w2"),
+                                     *block_rule(graphon_by_name("paper-w2")))
         assert len(lam) > 0 and phi.shape == (3, len(lam))
 
     @pytest.mark.parametrize("grid", [64, 256, 512])
@@ -256,8 +265,8 @@ class TestMarginalRegularLaw:
         for h, want in ((K2, 1 / 9), (cycle(4), 0.0017146776406035645)):
             assert marginal_regular_law(h, w_two_community, grid).variance() == \
                 pytest.approx(want, rel=1e-12)
-            _, [(_, _, residual)] = _law_on_nodes([h], [True], w_two_community, grid)
-            assert residual <= 1e-15
+            x, weights = block_rule(w_two_community)
+            assert np.abs(centered_kernel(h, w_two_community, x) @ weights).max() <= 1e-15
 
     @pytest.mark.parametrize("wname", ["paper-w2", "paper-w3", "bipartite:0.5"])
     def test_regular_variance_matches_join_densities(self, wname):
