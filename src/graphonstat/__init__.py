@@ -3,19 +3,19 @@
 __version__ = "0.1.0"
 
 from .motifs import (K2, K3, C4, K12, Motif, MultiMotif, MotifSizeError, clique,
-                     cycle, edge_join, parse_motif, path, star, vertex_join)
+                     cycle, parse_motif, path, star, vertex_join)
 from .graphon import (BlockGraphon, CovMatrix, ExpressionGraphon, Graphon,
                       KernelMatrix, conditional_1pt, conditional_kernel_2pt,
-                      constant_graphon, bipartite_graphon, gamma_matrix,
-                      graphon_by_name, hom_density, load_block_graphon,
-                      regularity_R_graphon, sample_graph, sigma_matrix, tbar_1pt)
+                      constant_graphon, bipartite_graphon, graphon_by_name,
+                      hom_density, load_block_graphon, sample_graph, sigma_matrix,
+                      tbar_1pt)
 from .counting import (Graph, GraphSizeError, count_copies, density_hat_t,
                        empirical_graphon, injective_hom_count, load_edge_list,
                        one_point_density, parse_edge_list, regularity_R_empirical,
                        two_point_matrix)
 from .limitlaw import (LimitSpec, RegularMarginalLaw, build_limit_spec,
-                       empirical_log_mgf, log_mgf_oracle, marginal_regular_law,
-                       sample_limit)
+                       empirical_log_mgf, gamma_matrix, log_mgf_oracle,
+                       marginal_regular_law, regularity_R_graphon, sample_limit)
 from .bootstrap import BootstrapDraws, empirical_quantile, multiplier_draws
 from .inference import (ConfidenceInterval, ConfidenceReport, DegenerateDensityError,
                         RegularityTest, StructureAltParams, StructureStat,

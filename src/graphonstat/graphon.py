@@ -11,22 +11,19 @@ BlockGraphon exactly and checks the quadrature of any other graphon by cell
 doubling, or raises.  The limit law reads the same nodes and weights.
 
 On top of plain densities t(F,W) this module provides the pinned-vertex
-conditional densities, the 2-point conditional kernel, the regularity
-functional R(H,W), and the limit-law covariance matrices built from join
-densities.
+conditional densities, the 2-point conditional kernel, and the Gaussian-block
+covariance of regular motifs, read on the same nodes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from ._elim import contract
-from .motifs import Motif, MultiMotif, as_multimotif, vertex_join, edge_join, \
-    MotifSizeError, _pin_orbits
+from .motifs import Motif, MultiMotif, as_multimotif, _pin_orbits
 
 QUAD_CELLS = 16
 QUAD_DEGREE = 4
@@ -261,21 +258,11 @@ def conditional_kernel_2pt(h: Motif, w: Graphon, x) -> KernelMatrix:
     return KernelMatrix(total / (2 * h.aut), h)
 
 
-# -- regularity and covariance matrices ---------------------------------------
-
-def regularity_R_graphon(h: Motif, w: Graphon) -> float:
-    """R(h,w) = sum_{a,b} t(h (+)_{a,b} h, w) - |V|^2 t(h,w)^2; zero iff h-regular.
-
-    Read as |Aut(h)|^2 times the diagonal entry of `gamma_matrix([h], w)`.
-    Floating point can leave tiny negatives for regular graphons, so the value
-    is clamped at 0.
-    """
-    return max(float(h.aut ** 2 * gamma_matrix([h], w).entries[0, 0]), 0.0)
-
+# -- the Gaussian-block covariance ---------------------------------------------
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Covariance matrix over a motif list, built from join densities."""
+    """Covariance matrix over a motif list."""
 
     labels: tuple[Motif, ...]
     entries: np.ndarray
@@ -294,62 +281,38 @@ class CovMatrix:
         return len(self.labels)
 
 
-def _join_sums(motifs, w: Graphon, entry) -> CovMatrix:
-    """The symmetric matrix of entry(H_i, H_j, density) over the motifs, filled for
-    i <= j; density(join) = t(join, w), integrated once per canonical key."""
-    motifs = tuple(motifs)
-    if not motifs:
-        raise ValueError("empty motif list")
-    cache: dict = {}
-
-    def density(join):
-        try:
-            key = join.canonical_key()
-        except MotifSizeError:          # too large to key: integrated each time
-            return hom_density(join, w)
-        if key not in cache:
-            cache[key] = hom_density(join, w)
-        return cache[key]
-
-    out = np.zeros((len(motifs), len(motifs)))
-    for i, hi in enumerate(motifs):
-        for j in range(i, len(motifs)):
-            out[i, j] = out[j, i] = entry(hi, motifs[j], density)
-    return CovMatrix(motifs, out)
+def _edge_profile(h: Motif, w: Graphon, x) -> np.ndarray:
+    """D(x_i, x_j) = (1/|Aut|) sum over ordered edges (a,b) of h of the density
+    of h less the edge ab, with a pinned at x_i and b at x_j."""
+    total = np.zeros((len(x), len(x)))
+    for orbit in _pin_orbits(h, 2).values():
+        if h.has_edge(*orbit[0]):
+            # as in conditional_kernel_2pt, each member of the orbit adds t + t.T
+            t = _integrate(as_multimotif(Motif(h.k, h.edges - {orbit[0]})), w,
+                           pins=dict.fromkeys(orbit[0], x))
+            total += len(orbit) * (t + t.T)
+    return total / h.aut
 
 
 def sigma_matrix(motifs, w: Graphon) -> CovMatrix:
-    """Gaussian-block covariance for regular motifs from weak/strong edge joins.
+    """Gaussian-block covariance of regular motifs on the nodes `_discretize` picks.
 
-    sigma_ij = (1/(2|Aut_i||Aut_j|)) sum over ordered edges (a,b) of H_i and
-    (c,d) of H_j of [t(weak join) - t(strong join)].
-    """
-    def entry(hi, hj, density):
-        s = 0.0
-        for pa, pb in product(hi.ordered_edges(), hj.ordered_edges()):
-            s += (density(edge_join(hi, pa, hj, pb, "weak"))
-                  - density(edge_join(hi, pa, hj, pb, "strong")))
-        return s / (2 * hi.aut * hj.aut)
-
-    return _join_sums(motifs, w, entry)
-
-
-def gamma_matrix(motifs, w: Graphon) -> CovMatrix:
-    """Gaussian covariance for irregular motifs from vertex-join densities.
-
-    tau_ij = (1/(|Aut_i||Aut_j|)) [sum_{a,b} t(H_i (+)_{a,b} H_j, w)
-             - |V_i||V_j| t(H_i,w) t(H_j,w)]; the diagonal is R(H_i,w)/|Aut_i|^2.
+    sigma_ij = 1/2 sum_{x,y} w_x w_y W(x,y)(1 - W(x,y)) D_i(x,y) D_j(x,y), with D_i
+    the `_edge_profile` of H_i (each pinned density checked by `_integrate`): the
+    Gram matrix of sqrt(w_x w_y W(1 - W)/2) D_i, so every diagonal entry is >= 0.
     """
     motifs = tuple(motifs)
-    dens = {h: hom_density(h, w) for h in motifs}
+    if not motifs:
+        raise ValueError("empty motif list")
 
-    def entry(hi, hj, density):
-        s = 0.0
-        for a, b in product(range(1, hi.k + 1), range(1, hj.k + 1)):
-            s += density(vertex_join(hi, a, hj, b))
-        return (s - hi.k * hj.k * dens[hi] * dens[hj]) / (hi.aut * hj.aut)
+    def evaluate(x, weights):
+        wxy = np.asarray(w.eval(x[:, None], x[None, :]), dtype=float)
+        root = np.sqrt(np.outer(weights, weights) * wxy * (1 - wxy) / 2)
+        rows = np.reshape([root * _edge_profile(h, w, x) for h in motifs], (len(motifs), -1))
+        return rows @ rows.T
 
-    return _join_sums(motifs, w, entry)
+    return CovMatrix(motifs, _discretize(w, evaluate,
+                                         what=lambda: f"sigma of {len(motifs)} motifs")[2])
 
 
 # -- builtin graphons and file I/O --------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 from .bootstrap import empirical_quantile, multiplier_draws
 from .counting import (Graph, count_copies, density_hat_t, falling_factorial,
                        one_point_density, regularity_R_empirical)
-from .graphon import Graphon, gamma_matrix, hom_density, regularity_R_graphon
-from .limitlaw import LimitSpec, build_limit_spec
+from .graphon import Graphon, hom_density
+from .limitlaw import LimitSpec, build_limit_spec, gamma_matrix, regularity_R_graphon
 from .motifs import C4, K2, Motif
 
 

@@ -21,30 +21,29 @@ through d = (irregular motifs) + (kept ranks) directions, listed at
 `sample_limit(build_limit_spec([h], w), ...)`; `marginal_regular_law` holds
 its parameters (Gaussian std, kept spectrum) and raises when h is irregular.
 
-A closed-form log moment generating function of any linear combination of the
-limit coordinates is provided as an independent numeric oracle: an absolutely
-convergent series in path compositions of the combined quadratic kernel.
+The population covariances read the same nodes: Gamma (`gamma_matrix`) is the
+Gram matrix of the scaled irregular profiles, R(H, W) = |Aut(H)|^2 Gamma_HH,
+and the log moment generating function of any linear combination of the limit
+coordinates (`log_mgf_oracle`) is the closed form of a Gaussian plus a
+Gaussian quadratic form on the nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 
 import numpy as np
 
-from .graphon import (_MAX_CELLS, QUAD_DEGREE, CovMatrix, Graphon, _discretize, _join_sums,
-                      conditional_kernel_2pt, degree_constant, gamma_matrix, hom_density,
-                      kernel_bound, regularity_R_graphon, sigma_matrix, tbar_1pt)
-from .motifs import Motif, edge_join
+from .graphon import (_MAX_CELLS, QUAD_DEGREE, CovMatrix, Graphon, _discretize,
+                      conditional_kernel_2pt, degree_constant, hom_density, kernel_bound,
+                      sigma_matrix, tbar_1pt)
+from .motifs import Motif
 
 DEFAULT_GRID = _MAX_CELLS * QUAD_DEGREE   # cap on quadrature nodes per axis
 REGULARITY_TOL = 1e-9
 _PSD_TOL = 1e-8
 SPECTRAL_CUT = 1e-12
 _CHUNK = 4096
-_SERIES_TOL = 1e-12          # log-MGF series: stop once both terms fall below
-_SERIES_TERMS = 200          # log-MGF series: raise past this many terms
 
 
 @dataclass(frozen=True)
@@ -126,6 +125,21 @@ def _law_on_nodes(motifs, regular, w: Graphon, grid: int):
             np.sort(np.concatenate([lam, np.zeros(grid - len(lam))])) for lam, _ in spectra])
 
     return _discretize(w, evaluate, params, grid, lambda: f"limit law of {len(motifs)} motifs")[2]
+
+
+def gamma_matrix(motifs, w: Graphon) -> CovMatrix:
+    """Gaussian covariance of irregular motifs: the Gram matrix of the scaled
+    profiles sqrt(w_i) g(x_i) of `_law_on_nodes`, at the default node cap."""
+    motifs = tuple(motifs)
+    if not motifs:
+        raise ValueError("empty motif list")
+    profiles, _ = _law_on_nodes(motifs, [False] * len(motifs), w, DEFAULT_GRID)
+    return CovMatrix(motifs, profiles @ profiles.T)
+
+
+def regularity_R_graphon(h: Motif, w: Graphon) -> float:
+    """R(h,w) = |Aut(h)|^2 gamma_hh, a sum of squares; zero iff w is h-regular."""
+    return float(h.aut ** 2 * gamma_matrix([h], w).entries[0, 0])
 
 
 def _sigma_factor(sigma: CovMatrix | None, n_reg: int) -> np.ndarray:
@@ -235,7 +249,7 @@ def marginal_regular_law(h: Motif, w: Graphon, grid: int = DEFAULT_GRID) -> Regu
     if not spec.regular[0]:
         raise ValueError(f"{h!r} is not regular in {w.name!r}: R(h, w) >= {REGULARITY_TOL:g}")
     _, [(spectrum, _)] = _law_on_nodes(spec.motifs, spec.regular, w, grid)
-    return RegularMarginalLaw(h, float(np.sqrt(max(spec.sigma.entries[0, 0], 0.0))), spectrum)
+    return RegularMarginalLaw(h, float(np.sqrt(spec.sigma.entries[0, 0])), spectrum)
 
 
 # -- log moment generating function oracle -------------------------------------
@@ -243,9 +257,9 @@ def marginal_regular_law(h: Motif, w: Graphon, grid: int = DEFAULT_GRID) -> Regu
 def mgf_radius_constant(spec: LimitSpec, alpha) -> float:
     """C = sum over regular motifs of |alpha_i| |V|(|V|-1)/|Aut|.
 
-    The series for the log-MGF converges absolutely for |theta| < 1/(32 C);
-    with no regular motifs (C = 0) the combination is Gaussian and the MGF is
-    entire.
+    `log_mgf_oracle` takes |theta| < 1/(32 C), where every eigenvalue x of
+    2 theta A lies in (-1/32, 1/32); with no regular motifs (C = 0) the
+    combination is Gaussian and any theta is allowed.
     """
     alpha = np.asarray(alpha, dtype=float)
     c = 0.0
@@ -255,42 +269,23 @@ def mgf_radius_constant(spec: LimitSpec, alpha) -> float:
     return c
 
 
-def _eta_regular(spec: LimitSpec, alpha) -> float:
-    idx = [i for i, reg in enumerate(spec.regular) if reg]
-    if not idx:
-        return 0.0
-    a = np.asarray(alpha, dtype=float)[idx]
-    motifs = [spec.motifs[i] for i in idx]
-
-    def entry(hi, hj, density):
-        s = 0.0
-        for pa, pb in product(permutations(range(1, hi.k + 1), 2),
-                              permutations(range(1, hj.k + 1), 2)):
-            s += density(edge_join(hi, pa, hj, pb, "weak", strict=False))
-        return s
-
-    sums = _join_sums(motifs, spec.graphon, entry).entries
-    total = c_sum = 0.0
-    for p, hi in enumerate(motifs):
-        c_sum += a[p] * degree_constant(hi, spec.graphon)
-        for q, hj in enumerate(motifs):
-            total += a[p] * a[q] * sums[p, q] / (2 * hi.aut * hj.aut)
-    return total - 2 * c_sum ** 2
-
-
 def log_mgf_oracle(spec: LimitSpec, alpha, theta: float) -> float:
-    """log E[exp(theta alpha' Z)] via the absolutely convergent series.
+    """log E[exp(theta alpha' Z)] in closed form on the nodes of `_law_on_nodes`.
 
-    Quadratic term (eta + eta~) theta^2/2 from join densities, then for L >= 1
-    the v' A^L v terms (path compositions of the combined kernel by iterated
-    matrix products) and for L >= 3 the cycle-trace terms, on the nodes of
-    `_law_on_nodes`: A = sum_i alpha_i A_i over the kept eigenpairs of the
-    regular motifs, v = sum_i alpha_i g_i over the irregular profiles.
-    Requires |theta| < 1/(32 C); any theta is allowed when C = 0.
+    alpha' Z = v'z + z'Az - tr(A) + G, with v = sum_i alpha_i g_i over the
+    irregular profiles, A = sum_i alpha_i A_i over the kept eigenpairs of the
+    regular motifs and G ~ N(0, alpha_r' Sigma alpha_r).  With (lam, U) the
+    eigenpairs of A, u = U'v and x = 2 theta lam, the value is
+      (theta^2/2)(eta + eta~ + sum u^2 x/(1-x)) - 1/2 sum [log1p(-x) + x + x^2/2],
+    eta = v'v and eta~ = alpha_r' Sigma alpha_r + 2 ||A||_F^2 the variances of
+    the linear and regular parts.  Requires finite alpha and theta with
+    |theta| < 1/(32 C); any finite theta is allowed when C = 0.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (spec.r,):
         raise ValueError(f"alpha must have length {spec.r}")
+    if not (np.isfinite(theta) and np.isfinite(alpha).all()):
+        raise ValueError(f"theta and alpha must be finite, got {theta} and {alpha}")
     c_const = mgf_radius_constant(spec, alpha)
     if c_const > 0 and abs(theta) >= 1 / (32 * c_const):
         raise ValueError(
@@ -299,29 +294,18 @@ def log_mgf_oracle(spec: LimitSpec, alpha, theta: float) -> float:
         return 0.0
 
     reg = np.asarray(spec.regular, dtype=bool)
-    irr = [h for h, r in zip(spec.motifs, reg) if not r]
-    eta = float(alpha[~reg] @ gamma_matrix(irr, spec.graphon).entries @ alpha[~reg]) if irr else 0.0
-    total = (eta + _eta_regular(spec, alpha)) * theta ** 2 / 2
-    if not reg.any():
-        return float(total)
-
     profiles, spectra = _law_on_nodes(spec.motifs, reg, spec.graphon, spec.grid)
     v = alpha[~reg] @ profiles
     a_op = np.zeros((len(v), len(v)))
     for a, (lam, phi) in zip(alpha[reg], spectra):
         a_op += a * (phi * lam) @ phi.T
-    lam = np.linalg.eigvalsh(a_op)
-    w_l = v.copy()
-    for ell in range(1, _SERIES_TERMS + 1):
-        w_l = a_op @ w_l
-        term_v = 2.0 ** (ell - 1) * theta ** (ell + 2) * float(v @ w_l)
-        term_t = 0.0
-        if ell >= 3:
-            term_t = 0.5 * (2 * theta) ** ell / ell * float((lam ** ell).sum())
-        total += term_v + term_t
-        if ell >= 3 and abs(term_v) < _SERIES_TOL and abs(term_t) < _SERIES_TOL:
-            return float(total)
-    raise RuntimeError(f"log-MGF series did not reach {_SERIES_TOL} in {_SERIES_TERMS} terms")
+    eta_tilde = 2 * float((a_op ** 2).sum())
+    if reg.any():
+        eta_tilde += float(alpha[reg] @ spec.sigma.entries @ alpha[reg])
+    lam, vecs = np.linalg.eigh(a_op)
+    u, x = vecs.T @ v, 2 * theta * lam
+    return float(theta ** 2 / 2 * (v @ v + eta_tilde + (u ** 2 * x / (1 - x)).sum())
+                 - 0.5 * (np.log1p(-x) + x + x ** 2 / 2).sum())
 
 
 def empirical_log_mgf(samples: np.ndarray, theta: float) -> float:

@@ -1,11 +1,11 @@
 """Small-graph algebra: motifs, canonical forms, automorphisms and joins.
 
 Motifs are simple labeled graphs on vertex set {1..k}; user-facing motifs
-(`parse_motif`) are capped at K_MAX vertices, and join operations may produce
-graphs up to 2*K_MAX-1 vertices, which are valid intermediates for density
-formulas.  Joins (vertex join, weak/strong edge join) glue two motifs
-together; their homomorphism densities parameterize every variance formula
-in the package.
+(`parse_motif`) are capped at K_MAX vertices, and a vertex join, which glues
+two motifs at one vertex, may produce graphs up to 2*K_MAX-1 vertices: the
+empirical regularity functional R(H, G_n) counts them.  A loopless multigraph
+(`MultiMotif`) carries edge multiplicities, which multiply repeated kernels
+in a homomorphism density.
 
 Every isomorphism question (canonical keys, |Aut|, isomorphism tests and the
 Aut orbits of pinned vertices) is answered by one individualization-refinement
@@ -307,45 +307,6 @@ def vertex_join(h1: Motif, a: int, h2: Motif, b: int) -> Motif:
     edges = set(h1.edges)
     edges.update(_norm_edge(relabel[u], relabel[v]) for u, v in h2.edges)
     return Motif(h1.k + h2.k - 1, frozenset(edges))
-
-
-def edge_join(h1: Motif, pair1: Edge, h2: Motif, pair2: Edge,
-              mode: str, strict: bool = True) -> MultiMotif:
-    """Identify pair1 of h1 with pair2 of h2 (first with first, second with second).
-
-    mode="weak" keeps a single edge between the identified vertices; "strong"
-    keeps both.  With strict=True both pairs must be ordered edges (members of
-    E+); strict=False extends the operation to arbitrary ordered vertex pairs,
-    where the merged pair simply carries however many edges the operands
-    contribute (so weak and strong coincide when either pair is a non-edge).
-    """
-    if mode not in ("weak", "strong"):
-        raise ValueError(f"mode must be 'weak' or 'strong', got {mode!r}")
-    a, b = pair1
-    c, d = pair2
-    for (u, v, h) in ((a, b, h1), (c, d, h2)):
-        if u == v or not (1 <= u <= h.k) or not (1 <= v <= h.k):
-            raise ValueError(f"pair {(u, v)} is not a pair of distinct vertices of {h!r}")
-    if strict:
-        if not h1.has_edge(a, b):
-            raise ValueError(f"pair {pair1} is not an edge of {h1!r}")
-        if not h2.has_edge(c, d):
-            raise ValueError(f"pair {pair2} is not an edge of {h2!r}")
-    relabel = {c: a, d: b}
-    nxt = h1.k + 1
-    for v in range(1, h2.k + 1):
-        if v not in (c, d):
-            relabel[v] = nxt
-            nxt += 1
-    mult: dict[Edge, int] = {e: 1 for e in h1.edges}
-    for u, v in h2.edges:
-        e = _norm_edge(relabel[u], relabel[v])
-        mult[e] = mult.get(e, 0) + 1
-    if mode == "weak":
-        merged = _norm_edge(a, b)
-        if merged in mult:
-            mult[merged] = 1
-    return MultiMotif.from_multiplicities(h1.k + h2.k - 2, mult)
 
 
 # -- common motifs and the literal format ------------------------------------

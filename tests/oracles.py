@@ -1,10 +1,17 @@
 """Independent brute-force oracles used to pin expected test values.
 
-Nothing here shares code with the package's counting or density engines:
-copies are counted by enumerating vertex subsets and their spanning edge
-subsets, injective maps or ordered backtracking, canonical keys by trying every
-vertex permutation, Moebius expansions by enumerating every set partition, and
-densities are integrated by plain Riemann sums over vertex assignments.
+Nothing here but the join-sum formulas shares code with the package's counting
+or density engines: copies are counted by enumerating vertex subsets and their
+spanning edge subsets, injective maps or ordered backtracking, canonical keys
+by trying every vertex permutation, Moebius expansions by enumerating every set
+partition, and densities are integrated by plain Riemann sums over vertex
+assignments.
+
+The join-sum formulas (`join_gamma`, `join_sigma`, `join_eta_regular`) write
+the population covariances as sums of densities of vertex joins and weak or
+strong edge joins (`edge_join`), where the package reads them on the nodes of
+its limit law.  They integrate each join with `graphonstat.hom_density`, once
+per `canonical_key`: the formula is the independent part, not the engine.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from graphonstat import Graph, Motif
+from graphonstat import Graph, Motif, MultiMotif, hom_density, vertex_join
 
 
 def canonical_multigraph_key(k: int, edges: tuple, colours: tuple | None = None) -> tuple:
@@ -233,3 +240,103 @@ def _backtrack_count(h: Motif, g: Graph, assignment: dict[int, int]) -> int:
         return total
 
     return extend(len(assignment))
+
+
+# -- join-sum formulas for the population covariances -------------------------
+
+def edge_join(h1: Motif, pair1: tuple, h2: Motif, pair2: tuple,
+              mode: str, strict: bool = True) -> MultiMotif:
+    """Identify pair1 of h1 with pair2 of h2 (first with first, second with second).
+
+    mode="weak" keeps a single edge between the identified vertices; "strong"
+    keeps both.  With strict=True both pairs must be ordered edges (members of
+    E+); strict=False extends the operation to arbitrary ordered vertex pairs,
+    where the merged pair simply carries however many edges the operands
+    contribute (so weak and strong coincide when either pair is a non-edge).
+    """
+    if mode not in ("weak", "strong"):
+        raise ValueError(f"mode must be 'weak' or 'strong', got {mode!r}")
+    a, b = pair1
+    c, d = pair2
+    for (u, v, h) in ((a, b, h1), (c, d, h2)):
+        if u == v or not (1 <= u <= h.k) or not (1 <= v <= h.k):
+            raise ValueError(f"pair {(u, v)} is not a pair of distinct vertices of {h!r}")
+    if strict:
+        if not h1.has_edge(a, b):
+            raise ValueError(f"pair {pair1} is not an edge of {h1!r}")
+        if not h2.has_edge(c, d):
+            raise ValueError(f"pair {pair2} is not an edge of {h2!r}")
+    relabel = {c: a, d: b}
+    nxt = h1.k + 1
+    for v in range(1, h2.k + 1):
+        if v not in (c, d):
+            relabel[v] = nxt
+            nxt += 1
+    mult = {e: 1 for e in h1.edges}
+    for u, v in h2.edges:
+        e = tuple(sorted((relabel[u], relabel[v])))
+        mult[e] = mult.get(e, 0) + 1
+    if mode == "weak":
+        merged = tuple(sorted((a, b)))
+        if merged in mult:
+            mult[merged] = 1
+    return MultiMotif.from_multiplicities(h1.k + h2.k - 2, mult)
+
+
+def _join_matrix(motifs, w, entry) -> np.ndarray:
+    """The symmetric matrix of entry(H_i, H_j, density) over the motifs, with
+    density(join) = t(join, w) integrated once per canonical key."""
+    cache: dict = {}
+
+    def density(join):
+        key = join.canonical_key()
+        if key not in cache:
+            cache[key] = hom_density(join, w)
+        return cache[key]
+
+    out = np.zeros((len(motifs), len(motifs)))
+    for i, hi in enumerate(motifs):
+        for j in range(i, len(motifs)):
+            out[i, j] = out[j, i] = entry(hi, motifs[j], density)
+    return out
+
+
+def join_gamma(motifs, w) -> np.ndarray:
+    """gamma_ij = (1/(|Aut_i||Aut_j|)) [sum_{a,b} t(H_i (+)_{a,b} H_j, w)
+    - |V_i||V_j| t(H_i,w) t(H_j,w)], from the vertex joins; R(H_i, w) is
+    |Aut_i|^2 gamma_ii."""
+    dens = {h: hom_density(h, w) for h in motifs}
+
+    def entry(hi, hj, density):
+        s = sum(density(vertex_join(hi, a, hj, b))
+                for a, b in itertools.product(range(1, hi.k + 1), range(1, hj.k + 1)))
+        return (s - hi.k * hj.k * dens[hi] * dens[hj]) / (hi.aut * hj.aut)
+
+    return _join_matrix(motifs, w, entry)
+
+
+def join_sigma(motifs, w) -> np.ndarray:
+    """sigma_ij = (1/(2|Aut_i||Aut_j|)) sum over ordered edges (a,b) of H_i and
+    (c,d) of H_j of [t(weak join) - t(strong join)]."""
+    def entry(hi, hj, density):
+        s = sum(density(edge_join(hi, pa, hj, pb, "weak"))
+                - density(edge_join(hi, pa, hj, pb, "strong"))
+                for pa, pb in itertools.product(hi.ordered_edges(), hj.ordered_edges()))
+        return s / (2 * hi.aut * hj.aut)
+
+    return _join_matrix(motifs, w, entry)
+
+
+def join_eta_regular(motifs, w, alpha) -> float:
+    """Variance eta~ of sum_i alpha_i Z_i over regular motifs: the weak
+    non-strict edge joins over all ordered vertex pairs, less 2 (sum_i alpha_i d_i)^2
+    with d_i = |V_i|(|V_i|-1) t(H_i,w)/(2|Aut_i|) the degree of W_{H_i}."""
+    def entry(hi, hj, density):
+        s = sum(density(edge_join(hi, pa, hj, pb, "weak", strict=False))
+                for pa, pb in itertools.product(itertools.permutations(range(1, hi.k + 1), 2),
+                                                itertools.permutations(range(1, hj.k + 1), 2)))
+        return s / (2 * hi.aut * hj.aut)
+
+    alpha = np.asarray(alpha, dtype=float)
+    degrees = np.array([h.k * (h.k - 1) * hom_density(h, w) / (2 * h.aut) for h in motifs])
+    return float(alpha @ _join_matrix(motifs, w, entry) @ alpha - 2 * (alpha @ degrees) ** 2)

@@ -14,7 +14,7 @@ from scipy import stats
 from graphonstat import (K2, K3, C4, K12, build_limit_spec,
                          conditional_1pt, conditional_kernel_2pt,
                          constant_graphon, count_copies, density_hat_t,
-                         edge_join, empirical_log_mgf,
+                         empirical_log_mgf,
                          graphon_by_name, hom_density, joint_confidence_set,
                          log_mgf_oracle, marginal_ci, multiplier_draws,
                          one_point_density, regularity_R_graphon, sample_graph,
@@ -23,7 +23,7 @@ from graphonstat import (K2, K3, C4, K12, build_limit_spec,
 from graphonstat.limitlaw import mgf_radius_constant
 
 from conftest import random_graph
-from oracles import all_motifs_up_to, canonical_edge_key, subset_copy_census
+from oracles import all_motifs_up_to, canonical_edge_key, edge_join, subset_copy_census
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

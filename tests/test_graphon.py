@@ -5,12 +5,12 @@ import pytest
 
 from graphonstat import (K2, K3, C4, K12, BlockGraphon, ExpressionGraphon,
                          clique, conditional_1pt, conditional_kernel_2pt,
-                         constant_graphon, edge_join, gamma_matrix,
+                         constant_graphon, gamma_matrix,
                          graphon_by_name, hom_density, load_block_graphon, path,
                          regularity_R_graphon, sample_graph, sigma_matrix,
                          tbar_1pt)
 from graphonstat.graphon import QuadratureError, degree_constant, kernel_bound
-from oracles import riemann_density
+from oracles import edge_join, riemann_density
 
 
 class TestGraphonTypes:
@@ -245,10 +245,11 @@ class TestRegularity:
     def test_affine_edge_value(self, w_affine):
         assert regularity_R_graphon(K2, w_affine) == pytest.approx(1 / 12, abs=1e-8)
 
-    def test_clamping(self, w_const_half):
+    def test_sum_of_squares(self, w_const_half):
+        # R is |Aut|^2 times a Gram diagonal: non-negative with no clamp
         raw = K2.aut ** 2 * gamma_matrix([K2], w_const_half).entries[0, 0]
         assert abs(raw) < 1e-12
-        assert regularity_R_graphon(K2, w_const_half) >= 0.0
+        assert regularity_R_graphon(K2, w_const_half) == raw >= 0.0
 
 
 class TestCovariances:

@@ -7,13 +7,15 @@ from scipy import stats
 
 from graphonstat import (K2, K3, K12, LimitSpec, build_limit_spec, cycle,
                          empirical_log_mgf, gamma_matrix, graphon_by_name,
-                         log_mgf_oracle, marginal_regular_law,
-                         sample_limit, sigma_matrix)
+                         log_mgf_oracle, marginal_regular_law, path,
+                         regularity_R_graphon, sample_limit, sigma_matrix)
 from graphonstat.graphon import (QuadratureError, conditional_kernel_2pt, degree_constant,
                                  kernel_bound)
-from graphonstat.limitlaw import (_CHUNK, SPECTRAL_CUT, _eta_regular, _law_on_nodes,
+from graphonstat.limitlaw import (_CHUNK, REGULARITY_TOL, SPECTRAL_CUT, _law_on_nodes,
                                   _regular_spectrum, _sigma_factor, centered_kernel,
                                   linear_profile, mgf_radius_constant)
+
+from oracles import join_eta_regular, join_gamma, join_sigma
 
 
 def midpoints(m):
@@ -271,13 +273,13 @@ class TestMarginalRegularLaw:
     @pytest.mark.parametrize("wname", ["paper-w2", "paper-w3", "bipartite:0.5"])
     def test_regular_variance_matches_join_densities(self, wname):
         # sigma^2 + 2 sum lambda^2 is the regular variance eta~ of the
-        # log-MGF, which `_eta_regular` sums from weak edge joins
+        # log-MGF, which the join oracle sums from weak edge joins
         w = graphon_by_name(wname)
         pairs = [h for h in (K2, K3, cycle(4), K12)
                  if build_limit_spec([h], w).regular == (True,)]
         assert pairs
         for h in pairs:
-            want = _eta_regular(build_limit_spec([h], w), [1.0])
+            want = join_eta_regular([h], w, [1.0])
             assert marginal_regular_law(h, w).variance() == pytest.approx(
                 want, rel=1e-12, abs=1e-300)
 
@@ -301,6 +303,15 @@ class TestLogMgfOracle:
         with pytest.raises(ValueError):
             log_mgf_oracle(spec, [1.0], 1 / (32 * c))
         log_mgf_oracle(spec, [1.0], 1 / (33 * c))   # inside the radius
+
+    @pytest.mark.parametrize("alpha,theta", [
+        ([1.0, 1.0], np.nan), ([1.0, 1.0], np.inf), ([np.nan, 1.0], 0.01),
+        ([1.0, -np.inf], 0.01)])
+    def test_non_finite_input_rejected(self, w_two_community, alpha, theta):
+        # a NaN theta passes every radius comparison, and a NaN alpha makes C NaN
+        spec = build_limit_spec([K2, K3], w_two_community, grid=64)
+        with pytest.raises(ValueError, match="finite"):
+            log_mgf_oracle(spec, alpha, theta)
 
     def test_matches_empirical_regular_pair(self, w_const_half):
         spec = build_limit_spec([K2, K3], w_const_half, grid=256)
@@ -338,7 +349,7 @@ class TestLogMgfOracle:
         assert second == pytest.approx(total_var, rel=1e-4)
 
     def test_six_vertex_regular_motif(self, w_const_half):
-        # the weak edge joins of two 6-cycles have up to 10 vertices
+        # C6's kernel and Gaussian block are read on the one node of const:0.5
         spec = build_limit_spec([cycle(6)], w_const_half, grid=16)
         assert spec.regular == (True,)
         assert np.isfinite(log_mgf_oracle(spec, [1.0], 0.01))
@@ -358,4 +369,46 @@ def test_profile_gram_matches_gamma(wname, motifs):
     # Gauss-Legendre rule for these polynomial profiles
     w = graphon_by_name(wname)
     profiles, _ = _law_on_nodes(motifs, [False] * len(motifs), w, 512)
-    assert_allclose(profiles @ profiles.T, gamma_matrix(motifs, w).entries, rtol=1e-12)
+    assert_allclose(profiles @ profiles.T, join_gamma(motifs, w), rtol=1e-12)
+
+
+GATE_MOTIFS = (K2, K3, cycle(4), K12, path(4), cycle(5), cycle(6))
+
+
+@pytest.mark.parametrize("wname", [
+    "w_affine", "w_two_community", "w_six_block", "w_product", "w_bipartite_half",
+    "w_const_half", "w_degree_regular_c4_irregular", "w_c4_regular_degree_irregular",
+    "const:0.3"])
+def test_population_quantities_match_join_oracle(wname, request):
+    # Gamma, Sigma, R and eta~ read on the law's nodes equal the sums of join
+    # densities, and the regularity verdicts are those of the join R
+    w = graphon_by_name(wname) if ":" in wname else request.getfixturevalue(wname)
+    tol = dict(rtol=1e-12, atol=1e-15)
+    gam = join_gamma(GATE_MOTIFS, w)
+    assert_allclose(gamma_matrix(GATE_MOTIFS, w).entries, gam, **tol)
+    assert_allclose(sigma_matrix(GATE_MOTIFS, w).entries, join_sigma(GATE_MOTIFS, w), **tol)
+    want_r = [h.aut ** 2 * gam[i, i] for i, h in enumerate(GATE_MOTIFS)]
+    assert_allclose([regularity_R_graphon(h, w) for h in GATE_MOTIFS], want_r, **tol)
+    spec = build_limit_spec(GATE_MOTIFS, w)
+    assert spec.regular == tuple(r < REGULARITY_TOL for r in want_r)
+    regular = [h for h, reg in zip(GATE_MOTIFS, spec.regular) if reg]
+    if not regular:
+        return
+    # eta~ of alpha' Z over the regular block: alpha' Sigma alpha + 2 ||A||_F^2,
+    # A = sum_i alpha_i A_i over the kept eigenpairs on the law's nodes
+    alpha = np.linspace(1.0, -0.5, len(regular))
+    _, spectra = _law_on_nodes(spec.motifs, spec.regular, w, spec.grid)
+    a_op = sum(a * (phi * lam) @ phi.T for a, (lam, phi) in zip(alpha, spectra))
+    eta = alpha @ spec.sigma.entries @ alpha + 2 * (a_op ** 2).sum()
+    assert_allclose(eta, join_eta_regular(regular, w, alpha), **tol)
+
+
+@pytest.mark.parametrize("wname", ["paper-w1", "product", "paper-w3"])
+def test_verdict_and_sigma_ignore_grid(wname):
+    # the verdict and Sigma are read at the default node cap, whatever `grid` is
+    w, motifs = graphon_by_name(wname), (K2, K3, cycle(4))
+    a, b = (build_limit_spec(motifs, w, grid=grid) for grid in (64, 512))
+    assert a.regular == b.regular
+    assert (a.sigma is None) == (b.sigma is None)
+    if a.sigma is not None:
+        assert np.array_equal(a.sigma.entries, b.sigma.entries)

@@ -10,11 +10,12 @@ import pytest
 
 from graphonstat import (K2, K3, C4, K12, clique, conditional_1pt,
                          conditional_kernel_2pt, constant_graphon, count_copies, cycle,
-                         edge_join, empirical_graphon, graphon_by_name,
+                         empirical_graphon, graphon_by_name,
                          hom_density, one_point_density, path, two_point_matrix)
 from graphonstat.graphon import kernel_bound
 
 from conftest import random_graph
+from oracles import edge_join
 
 MOTIFS = (K2, K12, K3, C4)
 GRAPHS = [random_graph(12, 0.5, seed=0), random_graph(9, 0.3, seed=1),
