@@ -20,6 +20,17 @@ is one matrix product of size about (pn)^3.  Apart from the result itself,
 whose axes are the `keep` variables, every tensor is at most as large as the
 largest input factor or the product of two domains, so there is no size cap.
 
+An integer list sums a clique of interchangeable variables once.  The mates
+of the slice variable s are the eliminated t that share a symmetric
+zero-diagonal factor with s and whose swap with s maps the factor list onto
+itself (a multiset of variables and array identities).  Any two of O = {s} +
+mates then share a zero-diagonal factor, so in a nonzero term exactly one of
+them is lowest in a fixed order of the domain, and the swaps make each one
+lowest equally often.  So slice x cuts the mates to the values ranked above x
+(by the row support of the shared factor, the degree for an adjacency, then
+by index) and adds with weight |O|; a K5 slice leaves a K4, sliced again.
+Float lists keep the plain slices, and so every bit of their sums.
+
 Integer sums are exact by one rule, `_exact_dtype(bound)`: a sum whose
 entries are bounded by `bound` before it runs is taken in float32 (sgemm) up
 to 2^24, in float64 (dgemm) up to 2^53, in int64 below 2^63, and in Python
@@ -36,6 +47,7 @@ is float64.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -230,6 +242,7 @@ def _sliced(factors, domains, keep, elim):
     on_s = [f for f in factors if s in f[0]]
     rest = [f for f in factors if s not in f[0]]
     integer = factors[0][2] is not None
+    mates, rank = _mates(factors, s, elim) if integer else ((), None)
     total = ExactSum(tuple(domains[u] for u in keep))  # real parts add bound 0: float64
     for x in range(domains[s]):
         # Factors that share an array share its slices and restrictions.
@@ -251,6 +264,11 @@ def _sliced(factors, domains, keep, elim):
             if key not in memo:
                 memo[key] = np.flatnonzero(np.logical_and.reduce([a != 0 for a in arrs]))
             support[u] = memo[key]
+        for t in mates:     # one cut support per slice value, shared by the mates
+            key = ("above", id(support[t]))
+            if key not in memo:
+                memo[key] = support[t][rank[support[t]] > rank[x]]
+            support[t] = memo[key]
         if any(idx.size == 0 for idx in support.values()) or \
                 any(vs == () and arr == 0 for vs, arr, _ in sliced):
             continue        # a zero factor zeroes every term of this slice
@@ -264,8 +282,35 @@ def _sliced(factors, domains, keep, elim):
         sub_domains = {u: support[u].size if u in support else domains[u]
                        for u in keep + tuple(elim) if u != s}
         _, part, bound = _contract(restricted, sub_domains, keep)
-        total.add(part, bound if integer else 0, index=_restrict_index(keep, domains, support))
+        total.add(part, bound if integer else 0, weight=len(mates) + 1,
+                  index=_restrict_index(keep, domains, support))
     return keep, total.value, total.bound if integer else None
+
+
+def _mates(factors, s, elim):
+    """(mates of s, rank of its domain) as the module docstring defines them,
+    or ((), None)."""
+    symmetric = {}
+
+    def key(vs, arr):       # a symmetric pair factor has unordered variables
+        if len(vs) == 2 and id(arr) not in symmetric:
+            symmetric[id(arr)] = arr.shape[0] == arr.shape[1] and np.array_equal(arr, arr.T)
+        return frozenset(vs) if len(vs) == 2 and symmetric[id(arr)] else vs, id(arr)
+
+    links = {}
+    for vs, arr, _ in factors:
+        if s in vs and len(vs) == 2 and vs[0] in elim and vs[1] in elim and \
+                isinstance(key(vs, arr)[0], frozenset) and not arr.diagonal().any():
+            links.setdefault(vs[1 - vs.index(s)], arr)
+    if not links:
+        return (), None
+    base = Counter(key(vs, arr) for vs, arr, _ in factors)
+    mates = [t for t in links if base == Counter(
+        key(tuple({s: t, t: s}.get(u, u) for u in vs), arr) for vs, arr, _ in factors)]
+    if not mates:
+        return (), None
+    degree = np.count_nonzero(links[mates[0]], axis=1)
+    return mates, np.argsort(np.argsort(degree, kind="stable"))    # ties by index
 
 
 def _restrict(arr, vs, support):

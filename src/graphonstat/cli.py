@@ -94,7 +94,7 @@ def _summary(config: dict, t0: float, **extra) -> dict:
     of `main`, so it covers argument parsing and the command but not
     interpreter start-up or imports."""
     out = {"config": config, "version": version_string(),
-           "wall_time_s": round(time.time() - t0, 3)}
+           "wall_time_s": round(time.perf_counter() - t0, 3)}
     out.update(extra)
     return out
 
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     config = {k: v for k, v in vars(args).items() if k not in ("fn",)}

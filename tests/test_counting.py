@@ -89,6 +89,16 @@ class TestCountCopies:
         assert brute > 0
         assert count_copies(clique(4), g) == brute
 
+    def test_k5_against_itertools_at_30(self):
+        # slicing K5 leaves a K4 in each slice, which is sliced again: both
+        # slices count each clique once, from its lowest vertex
+        g = random_graph(30, 0.6, seed=11)
+        nbrs = [set(np.flatnonzero(row)) for row in g.adj]
+        brute = sum(all(v in nbrs[u] for u, v in itertools.combinations(five, 2))
+                    for five in itertools.combinations(range(g.n), 5))
+        assert brute > 0
+        assert count_copies(clique(5), g) == brute
+
     def test_triangle_free_cycle(self):
         c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         assert count_copies(K3, c5) == 0
@@ -170,13 +180,16 @@ class TestOnePoint:
             expected = h.k * count_copies(h, g) / g.n ** h.k
             assert op.t_hat.mean() == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("h", [vertex_join(K2, 1, K3, 1), path(4), star(3), cycle(5)],
-                             ids=["pan", "p4", "s3", "c5"])
-    def test_general_motif_matches_backtracking(self, h):
+    @pytest.mark.parametrize("h,p", [(vertex_join(K2, 1, K3, 1), 0.5), (path(4), 0.5),
+                                     (star(3), 0.5), (cycle(5), 0.5), (clique(4), 0.5),
+                                     (clique(5), 0.8), (vertex_join(clique(4), 1, K2, 1), 0.5)],
+                             ids=["pan", "p4", "s3", "c5", "k4", "k5", "k4-pendant"])
+    def test_general_motif_matches_backtracking(self, h, p):
         # no closed form registered: one Moebius sum per Aut(h) vertex orbit,
-        # copied to every member
-        g = random_graph(12, 0.5, seed=19)
+        # copied to every member; p leaves copies of h in the graph
+        g = random_graph(12, p, seed=19)
         op = one_point_density(h, g)
+        assert op.x_a.any()
         for a in range(1, h.k + 1):
             for v in (0, 5, 11):
                 assert op.x_a[a - 1, v] == _backtrack_count(h, g, {a: v})
@@ -224,13 +237,15 @@ class TestTwoPoint:
             assert total == pytest.approx(h.k * (h.k - 1) * h.aut * count_copies(h, g),
                                           rel=1e-12)
 
-    @pytest.mark.parametrize("h", [path(4), star(3),
-                                   Motif.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)])],
-                             ids=["p4", "s3", "paw"])
-    def test_mobius_branch_matches_injective_maps(self, h):
+    @pytest.mark.parametrize("h,p", [(path(4), 0.35), (star(3), 0.35),
+                                     (Motif.from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)]), 0.35),
+                                     (clique(4), 0.7)],
+                             ids=["p4", "s3", "paw", "k4"])
+    def test_mobius_branch_matches_injective_maps(self, h, p):
         # no closed form: each unordered pin pair is contracted once and
-        # its transpose supplies the reversed pair
-        for g in (random_graph(9, 0.5, seed=43), random_graph(8, 0.35, seed=47)):
+        # its transpose supplies the reversed pair; p leaves a copy of h in
+        # the second graph
+        for g in (random_graph(9, 0.5, seed=43), random_graph(8, p, seed=47)):
             want = pinned_pair_counts(h, g) / (2 * h.aut * float(g.n) ** (h.k - 2))
             assert want.any()
             np.testing.assert_allclose(two_point_matrix(h, g).values, want,

@@ -267,3 +267,81 @@ def test_contract_float_matches_einsum(case):
                               domains, keep, np.float64)
     # Relative to the sum of absolute terms: cancellation cannot hide an error.
     assert np.all(np.abs(got - want) <= 1e-12 * scale + 1e-300)
+
+
+@st.composite
+def clique_factor_lists(draw, entries, flaw=None):
+    """K4 or K5 factor graphs whose pairs all share one symmetric zero-diagonal
+    integer array (so slicing counts each clique once), sometimes with one
+    unary array on every variable, plus 0-2 kept variables.
+
+    flaw breaks the symmetry the rule needs: "diagonal" puts a nonzero entry
+    on the shared diagonal, "asymmetric" makes the shared array asymmetric,
+    and "unary" gives the last variable a unary array of its own.
+    """
+    k = draw(st.integers(4, 5))
+    names = _VARS[:k]
+    d = draw(st.integers(2, 5))
+    nonzero = entries.filter(bool)
+    link = np.zeros((d, d), dtype=object)
+    link[np.triu_indices(d, 1)] = draw(st.lists(entries, min_size=d * (d - 1) // 2,
+                                                max_size=d * (d - 1) // 2))
+    link = link + link.T
+    if flaw == "diagonal":
+        link[0, 0] = draw(nonzero)
+    elif flaw == "asymmetric":
+        link[0, 1] += draw(nonzero)
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    factors = [(p if draw(st.booleans()) else p[::-1], link) for p in pairs]
+
+    def vector():
+        return np.array(draw(st.lists(entries, min_size=d, max_size=d)), dtype=object)
+
+    if flaw == "unary" or draw(st.booleans()):
+        unary = vector()
+        factors += [((v,), unary) for v in names[:-1]]
+        factors.append(((names[-1],), vector() if flaw == "unary" else unary))
+    keep = tuple(draw(st.permutations(names))[:draw(st.integers(0, 2))])
+    return factors, dict.fromkeys(names, d), keep
+
+
+_CLIQUE_ENTRIES = [st.integers(-3, 3), st.integers(-2 ** 8, 2 ** 8),
+                   st.integers(-2 ** 40, 2 ** 40)]
+
+
+@pytest.mark.parametrize("flaw", [None, "diagonal", "asymmetric", "unary"])
+@pytest.mark.parametrize("entries", _CLIQUE_ENTRIES, ids=["small", "2^8", "2^40"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_clique_slices_count_each_clique_once_exactly(entries, flaw, data):
+    # Entries up to 2^8 put step bounds on both sides of 2^24 and 2^53, entries
+    # up to 2^40 past int64.  The factors share their arrays, as counting's do;
+    # each distinct array goes in as one int64 array.
+    factors, domains, keep = data.draw(clique_factor_lists(entries, flaw))
+    shared = {id(a): a.astype(np.int64) for _, a in factors}
+    got = contract([(vs, shared[id(a)]) for vs, a in factors], domains, keep=keep)
+    want = _einsum_reference([(vs, a.ravel().tolist(), a.shape) for vs, a in factors],
+                             domains, keep, object)
+    assert np.array_equal(np.asarray(got, dtype=object), np.asarray(want, dtype=object))
+
+
+@pytest.mark.parametrize("call,weight", [
+    (lambda: count_copies(clique(4), GRAPHS[2]), 4),
+    (lambda: one_point_density(clique(4), GRAPHS[2]), 3),
+    # a float list never uses the rule, though this node matrix is symmetric
+    # with a zero diagonal
+    (lambda: hom_density(clique(4), graphon_by_name("bipartite:0.5")), 1),
+], ids=["count-k4", "1pt-k4", "float-k4"])
+def test_slice_weights(call, weight, monkeypatch):
+    # every slice of the one K4 class adds with the number of interchangeable
+    # variables as its weight: all four unless one is kept as a result axis
+    weights = []
+
+    class Spy(ExactSum):
+        def add(self, part, bound, weight=1, index=...):
+            weights.append(weight)
+            super().add(part, bound, weight, index)
+
+    monkeypatch.setattr(_elim, "ExactSum", Spy)
+    call()
+    assert weights and set(weights) == {weight}
