@@ -10,15 +10,23 @@ No step builds a tensor with three or more free axes.  The engine eliminates
 the variable whose merged factor is smallest among those that leave at most
 two axes.  When every remaining elimination would leave three or more (a
 treewidth-3 pattern such as K4), it slices instead: it conditions on the
-eliminated variable that appears in the most factors and, for each of its
-values, restricts every other variable to the nonzero support of the unary
-factors that the slice leaves on it.  The restriction is exact for any
-factors, because a zero factor zeroes the whole term.  Each slice is
-contracted the same way (down to matrix products, slicing again if needed)
-and the slices are added up exactly.  For K4 on a graph of density p, a slice
-is one matrix product of size about (pn)^3.  Apart from the result itself,
-whose axes are the `keep` variables, every tensor is at most as large as the
-largest input factor or the product of two domains, so there is no size cap.
+eliminated variable that appears in the most factors (pair factors, for an
+integer list) and, for each of its values, restricts every other variable to
+the nonzero support of the unary factors that the slice leaves on it.  The
+restriction is exact for any factors, because a zero factor zeroes the whole
+term.  Each slice is contracted the same way (down to matrix products,
+slicing again if needed) and the slices are added up exactly.  For K4 on a
+graph of density p, a slice is one matrix product of size about (pn)^3.
+Apart from the result itself, whose axes are the `keep` variables, every
+tensor is at most as large as the largest input factor or the product of two
+domains, so there is no size cap.
+
+A contraction is planned once (`_Plan`, `_SlicePlan`).  How to slice depends
+on the factor structure alone, the elimination order and step dtypes on it
+and the domain sizes, memoized by the tuple of restricted sizes: each slice
+takes the order and dtype it would take alone, and each slice value only
+gathers and multiplies.  A nested slice (a K5 slice leaves a K4) reuses its
+plan.
 
 An integer list sums a clique of interchangeable variables once.  The mates
 of the slice variable s are the eliminated t that share a symmetric
@@ -28,8 +36,12 @@ mates then share a zero-diagonal factor, so in a nonzero term exactly one of
 them is lowest in a fixed order of the domain, and the swaps make each one
 lowest equally often.  So slice x cuts the mates to the values ranked above x
 (by the row support of the shared factor, the degree for an adjacency, then
-by index) and adds with weight |O|; a K5 slice leaves a K4, sliced again.
-Float lists keep the plain slices, and so every bit of their sums.
+by index) and adds with weight |O|; among variables in equally many pair
+factors, s is one with the most mates.  Symmetry and a zero diagonal are read
+off each input array once; a restriction keeps them when both its axes share
+a support.  A 0/1 unary factor is 1 on its variable's support and is dropped
+where a pair factor remains there.  Float lists keep the plain slices, and so
+every bit of their sums.
 
 Integer sums are exact by one rule, `_exact_dtype(bound)`: a sum whose
 entries are bounded by `bound` before it runs is taken in float32 (sgemm) up
@@ -46,6 +58,7 @@ is float64.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 
@@ -75,21 +88,18 @@ def contract(factors, domains, keep=()):
             raise ValueError(f"factor on {vs} has shape {arr.shape}, "
                              f"expected {tuple(domains[v] for v in vs)}")
     integer = bool(factors) and all(np.issubdtype(a.dtype, np.integer) for _, a in factors)
-    if integer:
-        # Convert each distinct array once; slices and steps then share it.
-        converted = {}
-        for vs, arr in factors:
-            if id(arr) not in converted:
-                bound = _max_abs(arr)
-                converted[id(arr)] = (_as_dtype(arr, _exact_dtype(bound)), bound)
-        items = [(vs, *converted[id(arr)]) for vs, arr in factors]
-    else:
-        items = [(vs, arr, None) for vs, arr in factors]
     touched = {v for vs, _ in factors for v in vs}
-    for v in domains:
-        if v not in touched:
-            items.append(((v,), np.ones(domains[v]), 1 if integer else None))
-    _, out, bound = _contract(items, domains, keep)
+    factors += [((v,), np.ones(domains[v])) for v in domains if v not in touched]
+    # Each distinct array is one node, converted once; slices and steps share it.
+    arrays, bounds, node = [], [], {}
+    for vs, arr in factors:
+        if id(arr) not in node:
+            node[id(arr)] = len(arrays)
+            bounds.append(_max_abs(arr) if integer else None)
+            arrays.append(_as_dtype(arr, _exact_dtype(bounds[-1])) if integer else arr)
+    slots = [(vs, node[id(arr)], bounds[node[id(arr)]]) for vs, arr in factors]
+    plan = _Plan(slots, tuple(domains), keep, _input_facts(arrays, bounds))
+    out, bound = plan.run(arrays, tuple(domains.values()))
     return out if bound is None else _as_dtype(out, _result_dtype(bound))
 
 
@@ -149,21 +159,60 @@ def _as_dtype(arr, dtype):
     return arr.astype(dtype)
 
 
-def _contract(factors, domains, keep):
-    """Eliminate every non-keep variable; factors are (vars, array, bound).
+class _Plan:
+    """The contraction of one factor structure, planned once per size tuple.
 
-    bound is the entry bound of an integer list and None for float lists.
-    Returns one factor (keep, array, bound).
+    slots are (vars, node, bound), nodes indexing the value list; names are
+    the variables in domain order; facts is `_input_facts` of the inputs.
     """
-    elim = [v for v in domains if v not in keep]
-    while elim:
-        v = _cheapest(factors, domains, elim)
-        if v is None:
-            return _sliced(factors, domains, keep, elim)
-        elim.remove(v)
-        group = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]] + [_eliminate(group, v, domains)]
-    return _product(factors, keep, domains)
+
+    def __init__(self, slots, names, keep, facts):
+        self.slots, self.names, self.keep, self.facts = slots, names, keep, facts
+        self.inputs = 1 + max((n for _, n, _ in slots), default=-1)
+        self.schedules, self.slices = {}, {}
+
+    def fact(self, n):
+        return self.facts(n) if n < self.inputs else (False, False, False)   # a step output
+
+    def run(self, vals, sizes):
+        """(result indexed by keep, its bound); vals is appended to."""
+        schedule = self.schedules.get(sizes)
+        if schedule is None:
+            schedule = self.schedules[sizes] = self._schedule(dict(zip(self.names, sizes)))
+        steps, tail = schedule
+        for step in steps:
+            vals.append(_eliminate(vals, *step))
+        return tail.run(vals, sizes) if isinstance(tail, _SlicePlan) else _product(vals, *tail)
+
+    def _schedule(self, domains):
+        """Eliminate the cheapest variable while one leaves <= 2 axes, then
+        multiply out or slice: (steps, product recipe or slice plan)."""
+        factors, steps = list(self.slots), []
+        elim = [v for v in self.names if v not in self.keep]
+        while elim:
+            v = _cheapest(factors, domains, elim)
+            if v is None:
+                key = (tuple(factors), tuple(elim))
+                if key not in self.slices:
+                    self.slices[key] = _SlicePlan(factors, self, elim, self.inputs + len(steps))
+                return steps, self.slices[key]
+            elim.remove(v)
+            group = [f for f in factors if v in f[0]]
+            dtype, bound = _step_dtype(group, (domains[v],))
+            pairs = {}
+            for vs, n, _ in group:
+                if len(vs) == 2:
+                    pairs.setdefault(vs[1 - vs.index(v)], []).append((n, vs[0] != v))
+            out_vars = tuple(sorted(pairs, key=str))
+            steps.append((dtype, [[(n, False) for vs, n, _ in group if len(vs) == 1]] +
+                          [pairs[u] for u in out_vars]))
+            factors = [f for f in factors if v not in f[0]] + \
+                [(out_vars, self.inputs + len(steps) - 1, bound)]
+        dtype, bound = _step_dtype(factors, ())
+        keep = self.keep
+        return steps, (dtype, bound, [
+            (n, sorted(range(len(vs)), key=lambda i: keep.index(vs[i])),
+             [domains[u] if u in vs else 1 for u in keep]) for vs, n, _ in factors])
 
 
 def _cheapest(factors, domains, elim):
@@ -184,24 +233,22 @@ def _cheapest(factors, domains, elim):
     return best_v
 
 
-def _eliminate(group, v, domains):
-    """Sum the product of the factors on v over v: one matrix product.
+def _eliminate(vals, dtype, nodes):
+    """Sum the product of a step's factors over its variable: one matrix product.
 
-    Every factor of the group holds v and at most one other variable, and
-    at most two other variables occur in all, so the sum is sum_v u_v M_vx
-    N_vy with u the unary factors and M, N the pairwise factors multiplied
-    together.
+    nodes lists the step's unary factors, then the pair factors on each other
+    variable, as (node, transposed); at most two others occur, so the sum is
+    sum_v u_v M_vx N_vy, each factor first moved to the step's dtype.
     """
-    group, bound = _step_dtype(group, (domains[v],))
-    unary, pairs = None, {}
-    for vs, arr, _ in group:
-        if len(vs) == 1:
-            unary = arr if unary is None else unary * arr
-            continue
-        u, m = (vs[1], arr) if vs[0] == v else (vs[0], arr.T)
-        pairs[u] = m * pairs[u] if u in pairs else m
-    out_vars = tuple(sorted(pairs, key=str))
-    mats = [pairs[u] for u in out_vars]
+    def product(group):
+        out = None
+        for n, transposed in group:
+            arr = vals[n] if dtype is None else _as_dtype(vals[n], dtype)
+            arr = arr.T if transposed else arr
+            out = arr if out is None else out * arr
+        return out
+
+    unary, *mats = map(product, nodes)
     if not mats:
         out = unary.sum()
     elif len(mats) == 1:
@@ -209,120 +256,131 @@ def _eliminate(group, v, domains):
     else:
         left = mats[0] if unary is None else mats[0] * unary[:, None]
         out = left.T @ mats[1]
-    return out_vars, np.asarray(out), bound
+    return np.asarray(out)
 
 
-def _product(factors, keep, domains):
-    """Product of factors as a tensor indexed by keep; each keep variable has a factor."""
-    factors, bound = _step_dtype(factors, ())
+def _product(vals, dtype, bound, recipe):
+    """(product of the remaining nodes as a tensor indexed by keep, its bound);
+    each keep variable has a factor."""
     out = None
-    for vs, arr, _ in factors:
-        order = sorted(range(len(vs)), key=lambda i: keep.index(vs[i]))
-        arr = arr.transpose(order).reshape([domains[u] if u in vs else 1 for u in keep])
-        out = arr if out is None else out * arr
-    return keep, np.ones(()) if out is None else np.asarray(out), bound
+    for n, order, shape in recipe:
+        arr = (vals[n] if dtype is None else _as_dtype(vals[n], dtype)).transpose(order)
+        out = arr.reshape(shape) if out is None else out * arr.reshape(shape)
+    return np.ones(()) if out is None else np.asarray(out), bound
 
 
 def _step_dtype(group, summed):
-    """Convert an integer group to the dtype its output bound allows.
-
-    The bound is the product of the input bounds (at least 1 each) times the
-    sizes of the summed domains; float groups pass through unchanged.
-    """
+    """(dtype, bound) of an integer step, (None, None) for a float group: the
+    product of the input bounds (at least 1 each) times the summed sizes."""
     if not group or group[0][2] is None:
-        return group, None
+        return None, None
     bound = math.prod(max(b, 1) for _, _, b in group) * math.prod(max(d, 1) for d in summed)
-    dtype = _exact_dtype(bound)
-    return [(vs, _as_dtype(arr, dtype), b) for vs, arr, b in group], bound
+    return _exact_dtype(bound), bound
 
 
-def _sliced(factors, domains, keep, elim):
-    """Condition on the eliminated variable in the most factors; sum the slices."""
-    s = min(elim, key=lambda v: (-sum(v in f[0] for f in factors), str(v)))
-    on_s = [f for f in factors if s in f[0]]
-    rest = [f for f in factors if s not in f[0]]
-    integer = factors[0][2] is not None
-    mates, rank = _mates(factors, s, elim) if integer else ((), None)
-    total = ExactSum(tuple(domains[u] for u in keep))  # real parts add bound 0: float64
-    for x in range(domains[s]):
-        # Factors that share an array share its slices and restrictions.
-        memo = {}
-        sliced = list(rest)
-        for vs, arr, b in on_s:
-            axis = vs.index(s)
-            key = ("take", id(arr), axis)
-            if key not in memo:
-                memo[key] = arr[(slice(None),) * axis + (x, ...)]
-            sliced.append((vs[:axis] + vs[axis + 1:], memo[key], b))
-        unary = {}
-        for vs, arr, _ in sliced:
-            if len(vs) == 1:
-                unary.setdefault(vs[0], []).append(arr)
-        support = {}
-        for u, arrs in unary.items():
-            key = ("support",) + tuple(map(id, arrs))
-            if key not in memo:
-                memo[key] = np.flatnonzero(np.logical_and.reduce([a != 0 for a in arrs]))
-            support[u] = memo[key]
-        for t in mates:     # one cut support per slice value, shared by the mates
-            key = ("above", id(support[t]))
-            if key not in memo:
-                memo[key] = support[t][rank[support[t]] > rank[x]]
-            support[t] = memo[key]
-        if any(idx.size == 0 for idx in support.values()) or \
-                any(vs == () and arr == 0 for vs, arr, _ in sliced):
-            continue        # a zero factor zeroes every term of this slice
-        support = {u: idx for u, idx in support.items() if idx.size < domains[u]}
-        restricted = []
-        for vs, arr, b in sliced:
-            key = ("restrict", id(arr)) + tuple(id(support.get(u)) for u in vs)
-            if key not in memo:
-                memo[key] = _restrict(arr, vs, support)
-            restricted.append((vs, memo[key], b))
-        sub_domains = {u: support[u].size if u in support else domains[u]
-                       for u in keep + tuple(elim) if u != s}
-        _, part, bound = _contract(restricted, sub_domains, keep)
-        total.add(part, bound if integer else 0, weight=len(mates) + 1,
-                  index=_restrict_index(keep, domains, support))
-    return keep, total.value, total.bound if integer else None
+class _SlicePlan:
+    """Slicing of one factor structure on one variable s, planned once (see
+    the module docstring); each slice value only gathers and multiplies."""
+
+    def __init__(self, factors, level, elim, width):
+        keep, pos = level.keep, {u: i for i, u in enumerate(level.names)}
+        self.integer = factors[0][2] is not None
+        mates = {v: _mates(factors, v, elim, level.fact) for v in elim}
+        s = min(elim, key=lambda v: (-sum(v in vs and len(vs) > self.integer for vs, _, _ in factors),
+                                     -len(mates[v][0]), str(v)))   # (pair) factors, mates
+        self.s, (self.mates, self.link) = pos[s], mates[s]
+        takes, sliced = {}, []
+        for vs, n, b in factors:
+            if s in vs:
+                axis = vs.index(s)
+                sliced.append((vs[:axis] + vs[axis + 1:], takes.setdefault((n, axis), width + len(takes)), b))
+        self.takes = list(takes)
+        sliced = [f for f in factors if s not in f[0]] + sliced
+        def fact(n):        # a slice is 0/1 if its array is
+            return level.fact(n) if n < width else (False, False, level.fact(self.takes[n - width][0])[2])
+        self.scalars = [n for vs, n, _ in sliced if not vs]
+        unary = {u: tuple(n for ws, n, _ in sliced if ws == (u,)) for vs, _, _ in sliced
+                 if len(vs) == 1 for u in vs}
+        supports = {}       # variables whose unary nodes agree share a support
+        support = {u: supports.setdefault(ns, len(supports)) for u, ns in unary.items()}
+        self.supports, cuts = list(supports), {}
+        for t in self.mates:    # one cut per support, shared by the mates
+            support[t] = cuts.setdefault(support[t], len(supports) + len(cuts))
+        self.cuts = list(cuts)
+        paired = {u for vs, _, _ in sliced if len(vs) == 2 for u in vs}
+        restricts, slots = {}, []
+        for vs, n, b in sliced:
+            if len(vs) == 1 and vs[0] in paired and fact(n)[2]:
+                continue
+            ks = tuple(support.get(u) for u in vs)
+            slots.append((vs, restricts.setdefault((n, ks), len(restricts)), b))
+        self.restricts = list(restricts)
+        # a restriction keeps symmetry and a zero diagonal when both axes share a support
+        facts = [fact(n) if len(ks) == 2 and ks[0] == ks[1] else (False, False, fact(n)[2])
+                 for n, ks in self.restricts]
+        sub_names = keep + tuple(v for v in elim if v != s)
+        self.sub_sizes = [(support.get(u), pos[u]) for u in sub_names]
+        self.keep_sizes = [(support.get(u), pos[u]) for u in keep]
+        self.sub = _Plan(slots, sub_names, keep, facts.__getitem__)
+
+    def run(self, vals, sizes):
+        """(sum of the slices indexed by keep, its bound or None for floats)."""
+        total = ExactSum(tuple(sizes[i] for _, i in self.keep_sizes))  # real parts: float64
+        if self.mates:
+            degree = np.count_nonzero(vals[self.link], axis=1)
+            rank = np.argsort(np.argsort(degree, kind="stable"))   # ties by index
+        weight, sub_run = len(self.mates) + 1, self.sub.run
+        for x in range(sizes[self.s]):
+            cur = vals + [vals[n][x, ...] if axis == 0 else vals[n][:, x] for n, axis in self.takes]
+            if self.scalars and any(cur[n] == 0 for n in self.scalars):
+                continue        # a zero factor zeroes every term of this slice
+            sup = [(cur[ns[0]] if len(ns) == 1 else
+                    np.logical_and.reduce([cur[n] != 0 for n in ns])).nonzero()[0]
+                   for ns in self.supports]
+            sup += [sup[k][rank[sup[k]] > rank[x]] for k in self.cuts]
+            if not all([idx.size for idx in sup]):
+                continue        # an empty support (or its cut) empties the slice
+            sub = []
+            for n, ks in self.restricts:
+                arr = cur[n]
+                for axis, k in enumerate(ks):
+                    if k is not None and sup[k].size < arr.shape[axis]:
+                        arr = arr.take(sup[k], axis=axis)
+                sub.append(arr)
+            part, bound = sub_run(sub, tuple([sizes[i] if k is None else sup[k].size
+                                              for k, i in self.sub_sizes]))
+            cut = [k is not None and sup[k].size < sizes[i] for k, i in self.keep_sizes]
+            index = np.ix_(*[sup[k] if c else np.arange(sizes[i]) for (k, i), c in
+                             zip(self.keep_sizes, cut)]) if any(cut) else ...
+            total.add(part, bound or 0, weight, index)
+        return total.value, total.bound if self.integer else None
 
 
-def _mates(factors, s, elim):
-    """(mates of s, rank of its domain) as the module docstring defines them,
-    or ((), None)."""
-    symmetric = {}
+def _input_facts(arrays, bounds):
+    """node -> (symmetric, zero diagonal, 0/1) of an input array of an
+    integer list, checked when first asked; all False in a float list."""
+    @functools.cache
+    def facts(n):
+        a, square = arrays[n], arrays[n].ndim == 2 and arrays[n].shape[0] == arrays[n].shape[1]
+        return (square and np.array_equal(a, a.T), square and not a.diagonal().any(),
+                bounds[n] == 1 and a.min() >= 0) if bounds[n] is not None else (False,) * 3
+    return facts
 
-    def key(vs, arr):       # a symmetric pair factor has unordered variables
-        if len(vs) == 2 and id(arr) not in symmetric:
-            symmetric[id(arr)] = arr.shape[0] == arr.shape[1] and np.array_equal(arr, arr.T)
-        return frozenset(vs) if len(vs) == 2 and symmetric[id(arr)] else vs, id(arr)
+
+def _mates(factors, s, elim, fact):
+    """(mates of s, node of the factor whose row supports rank the domain) as
+    the module docstring defines them, or ((), None)."""
+    def key(vs, n):         # a symmetric pair factor has unordered variables
+        return frozenset(vs) if len(vs) == 2 and fact(n)[0] else vs, n
 
     links = {}
-    for vs, arr, _ in factors:
+    for vs, n, _ in factors:
         if s in vs and len(vs) == 2 and vs[0] in elim and vs[1] in elim and \
-                isinstance(key(vs, arr)[0], frozenset) and not arr.diagonal().any():
-            links.setdefault(vs[1 - vs.index(s)], arr)
+                fact(n)[0] and fact(n)[1]:
+            links.setdefault(vs[1 - vs.index(s)], n)
     if not links:
         return (), None
-    base = Counter(key(vs, arr) for vs, arr, _ in factors)
+    base = Counter(key(vs, n) for vs, n, _ in factors)
     mates = [t for t in links if base == Counter(
-        key(tuple({s: t, t: s}.get(u, u) for u in vs), arr) for vs, arr, _ in factors)]
-    if not mates:
-        return (), None
-    degree = np.count_nonzero(links[mates[0]], axis=1)
-    return mates, np.argsort(np.argsort(degree, kind="stable"))    # ties by index
-
-
-def _restrict(arr, vs, support):
-    """arr cut down to the support of each of its variables that has one."""
-    for axis, u in enumerate(vs):
-        if u in support:
-            arr = arr.take(support[u], axis=axis)
-    return arr
-
-
-def _restrict_index(vs, domains, support):
-    """Index selecting the supports of vs (all of an axis without a support)."""
-    if not any(u in support for u in vs):
-        return ...
-    return np.ix_(*(support[u] if u in support else np.arange(domains[u]) for u in vs))
+        key(tuple({s: t, t: s}.get(u, u) for u in vs), n) for vs, n, _ in factors)]
+    return (mates, links[mates[0]]) if mates else ((), None)

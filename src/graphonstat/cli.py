@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import multiprocessing
 import os
 import re
-import subprocess
 import sys
 import time
 
@@ -45,6 +43,7 @@ def version_string() -> str:
 
 @functools.lru_cache(maxsize=1)
 def _version_string() -> str:
+    import subprocess       # imported where used: a faster start-up
     base = f"graphonstat {__version__}"
     try:
         desc = subprocess.run(["git", "describe", "--always", "--dirty"],
@@ -245,6 +244,7 @@ def _cmd_coverage_sim(args, config, t0):
     tasks = [(rep, args.seed, w, motifs, truth, args.n, args.B, args.alpha, args.mode)
              for rep in range(args.reps)]
     if args.workers > 1:
+        import multiprocessing
         with multiprocessing.Pool(args.workers) as pool:
             results = pool.map(_coverage_rep, tasks)
     else:

@@ -281,6 +281,18 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_defers_modules_used_by_one_path():
+    # multiprocessing (--workers > 1), subprocess (version_string) and statistics
+    # (two normal quantiles) are imported where they are used
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphonstat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; import graphonstat.cli; print(sorted(m for m in "
+            "('multiprocessing', 'subprocess', 'statistics') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 class TestCoverageSim:
     def test_joint_run_and_consistency(self, tmp_path, capsys):
         out_path = str(tmp_path / "cov.csv")

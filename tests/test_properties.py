@@ -12,7 +12,8 @@ from graphonstat import (K2, K3, C4, K12, clique, conditional_1pt,
                          conditional_kernel_2pt, constant_graphon, count_copies, cycle,
                          empirical_graphon, graphon_by_name,
                          hom_density, one_point_density, path, two_point_matrix)
-from graphonstat.graphon import kernel_bound
+from graphonstat.graphon import kernel_bound, sample_graph
+from graphonstat.motifs import parse_motif
 
 from conftest import random_graph
 from oracles import edge_join
@@ -217,9 +218,9 @@ def test_contract_steps_go_from_float32_to_float64(monkeypatch):
     seen, step = [], _elim._step_dtype
 
     def spy(group, summed):
-        out, bound = step(group, summed)
-        seen.append(out[0][1].dtype)
-        return out, bound
+        dtype, bound = step(group, summed)
+        seen.append(dtype)
+        return dtype, bound
 
     monkeypatch.setattr(_elim, "_step_dtype", spy)
     got = contract(factors, domains)
@@ -277,7 +278,8 @@ def clique_factor_lists(draw, entries, flaw=None):
 
     flaw breaks the symmetry the rule needs: "diagonal" puts a nonzero entry
     on the shared diagonal, "asymmetric" makes the shared array asymmetric,
-    and "unary" gives the last variable a unary array of its own.
+    "unary" gives the last variable a unary array of its own, and "lone"
+    gives it the only unary array.
     """
     k = draw(st.integers(4, 5))
     names = _VARS[:k]
@@ -297,7 +299,9 @@ def clique_factor_lists(draw, entries, flaw=None):
     def vector():
         return np.array(draw(st.lists(entries, min_size=d, max_size=d)), dtype=object)
 
-    if flaw == "unary" or draw(st.booleans()):
+    if flaw == "lone":
+        factors.append(((names[-1],), vector()))
+    elif flaw == "unary" or draw(st.booleans()):
         unary = vector()
         factors += [((v,), unary) for v in names[:-1]]
         factors.append(((names[-1],), vector() if flaw == "unary" else unary))
@@ -309,7 +313,7 @@ _CLIQUE_ENTRIES = [st.integers(-3, 3), st.integers(-2 ** 8, 2 ** 8),
                    st.integers(-2 ** 40, 2 ** 40)]
 
 
-@pytest.mark.parametrize("flaw", [None, "diagonal", "asymmetric", "unary"])
+@pytest.mark.parametrize("flaw", [None, "diagonal", "asymmetric", "unary", "lone"])
 @pytest.mark.parametrize("entries", _CLIQUE_ENTRIES, ids=["small", "2^8", "2^40"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -331,7 +335,11 @@ def test_clique_slices_count_each_clique_once_exactly(entries, flaw, data):
     # a float list never uses the rule, though this node matrix is symmetric
     # with a zero diagonal
     (lambda: hom_density(clique(4), graphon_by_name("bipartite:0.5")), 1),
-], ids=["count-k4", "1pt-k4", "float-k4"])
+    # K4 with a pendant: its own class slices at a clique vertex without the
+    # pendant's unary factor (weight 3), its K4 quotient with weight 4
+    (lambda: count_copies(parse_motif("n=5;edges=1-2,1-3,1-4,2-3,2-4,3-4,4-5"),
+                          random_graph(40, 0.6, seed=3)), {4, 3}),
+], ids=["count-k4", "1pt-k4", "float-k4", "count-k4-pendant"])
 def test_slice_weights(call, weight, monkeypatch):
     # every slice of the one K4 class adds with the number of interchangeable
     # variables as its weight: all four unless one is kept as a result axis
@@ -344,4 +352,62 @@ def test_slice_weights(call, weight, monkeypatch):
 
     monkeypatch.setattr(_elim, "ExactSum", Spy)
     call()
-    assert weights and set(weights) == {weight}
+    assert weights and set(weights) == (weight if isinstance(weight, set) else {weight})
+
+
+def test_slice_plan_chooses_each_order_once_per_size_tuple(monkeypatch):
+    # count_copies(K4) on a paper-w1 graph at n = 200 slices into sub-lists of
+    # 67 distinct restricted sizes, each eliminated in three steps: one
+    # `_cheapest` call per step and size tuple, not one per step of each slice
+    g = sample_graph(graphon_by_name("paper-w1"), 200, seed=7)
+    calls, cheapest = [], _elim._cheapest
+
+    def spy(factors, domains, elim):
+        calls.append(tuple(domains[v] for v in elim))
+        return cheapest(factors, domains, elim)
+
+    monkeypatch.setattr(_elim, "_cheapest", spy)
+    assert count_copies(clique(4), g) == _k4_by_triangles(g.adj.astype(np.int64))
+    assert 0 < len(calls) <= 300
+
+
+def _k4_by_triangles(a):
+    # each K4 counted once from its lowest vertex: triangles among the higher neighbours
+    total = 0
+    for v in range(len(a)):
+        up = np.flatnonzero(a[v, v + 1:]) + v + 1
+        sub = a[np.ix_(up, up)]
+        total += int(np.trace(sub @ sub @ sub)) // 6
+    return total
+
+
+@st.composite
+def varied_support_lists(draw):
+    """K5 factor graphs (sliced twice) on one shared integer array whose rows
+    have from none to all of their entries nonzero, so the slice supports range
+    from empty to the whole domain; sometimes symmetric with a zero diagonal
+    (the clique rule fires), sometimes a unary factor, and 0-2 kept variables."""
+    d = draw(st.integers(1, 6))
+    arr = np.zeros((d, d), dtype=np.int64)
+    for i in range(d):
+        cols = draw(st.permutations(range(d)))[:draw(st.integers(0, d))]
+        arr[i, cols] = draw(st.lists(st.integers(1, 3), min_size=len(cols), max_size=len(cols)))
+    if draw(st.booleans()):
+        arr = np.triu(arr, 1) + np.triu(arr, 1).T
+    names = _VARS
+    factors = [((u, v) if draw(st.booleans()) else (v, u), arr)
+               for i, u in enumerate(names) for v in names[i + 1:]]
+    if draw(st.booleans()):
+        factors.append(((draw(st.sampled_from(names)),), (arr != 0).sum(axis=0)))
+    keep = tuple(draw(st.permutations(names))[:draw(st.integers(0, 2))])
+    return factors, dict.fromkeys(names, d), keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(varied_support_lists())
+def test_varied_slice_supports_match_einsum_exactly(case):
+    factors, domains, keep = case
+    got = contract(factors, domains, keep=keep)
+    want = _einsum_reference([(vs, a.ravel().tolist(), a.shape) for vs, a in factors],
+                             domains, keep, object)
+    assert np.array_equal(np.asarray(got, dtype=object), np.asarray(want, dtype=object))
