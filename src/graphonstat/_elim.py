@@ -50,10 +50,10 @@ ints (object arrays; by then these are small vectors) beyond; each float
 type holds every integer up to its limit.  A contraction step bounds its
 output by the product of its input entry bounds times the size of the
 domain it sums over; a running total (`ExactSum`) by the summed bounds of
-its parts; a reduction of an array (`_exact_total`) by the sum of its entry
-magnitudes.  float32 stays inside the steps: the result of `contract`,
-`ExactSum` totals and `_exact_total` take `_result_dtype`, whose lowest tier
-is float64.
+its parts; a reduction (`_exact_total`, the sum of an elementwise product)
+by the sum of its term magnitudes.  float32 stays inside the steps: the
+result of `contract`, `ExactSum` totals and `_exact_total` take
+`_result_dtype`, whose lowest tier is float64.
 """
 
 from __future__ import annotations
@@ -123,10 +123,14 @@ class ExactSum:
         self.value[index] += weight * _as_dtype(np.asarray(part), self.value.dtype)
 
 
-def _exact_total(x, bound: int) -> int:
-    """Exact sum of an integer-valued array whose entry magnitudes sum to at
-    most `bound`; every partial sum is then an integer of at most `bound`."""
-    return int(_as_dtype(x, _result_dtype(bound)).sum())
+def _exact_total(bound: int, *operands) -> int:
+    """Exact sum of the elementwise product of integer-valued arrays of one
+    shape whose term magnitudes sum to at most `bound`: one einsum in
+    `_result_dtype(bound)`, so every partial sum is an integer of at most
+    `bound` and no product array is built."""
+    dtype, axes = _result_dtype(bound), list(range(np.ndim(operands[0])))
+    args = [a for x in operands for a in (_as_dtype(np.asarray(x), dtype), axes)]
+    return int(np.einsum(*args, []))
 
 
 def _max_abs(arr) -> int:

@@ -6,9 +6,13 @@ Aut(h) orbit of pinned vertex tuples (none, one vertex, or a pair), and one
 dispatch, `_orbit_counts`, decides how each is computed.  It looks the
 orbit's key (h with the pins coloured) up in `_ORBIT_FORMS`: sixteen closed
 forms from degree sums and matrix powers, per pin orbit of the edge, 2-star,
-triangle and 4-cycle, plus the bowtie total.  Every other orbit goes to Moebius
-inversion over vertex partitions, which turns injective counts into all-maps
-homomorphism counts evaluated by exact integer contraction (`_elim.contract`).
+triangle and 4-cycle, plus the bowtie total.  They read what `Graph` caches
+once: the adjacency, its degrees, the codegrees A @ A (an sgemm, exact below
+n = 2^24) and the triangle row; each total is one `_elim._exact_total`
+reduction and no total or 1-point row builds an n x n temporary.  Every
+other orbit goes to Moebius inversion over vertex partitions, which turns
+injective counts into all-maps homomorphism counts evaluated by exact integer
+contraction (`_elim.contract`).
 Its quotient classes and weights (the spasm) depend on the motif and its pins
 alone, so `_spasm` builds them once, from loop-free partitions, and each
 quotient class is contracted once.
@@ -21,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._elim import ExactSum, _as_dtype, _exact_total, _result_dtype, contract
+from ._elim import ExactSum, _exact_dtype, _exact_total, contract
 from .graphon import BlockGraphon, KernelMatrix
 from .motifs import (C4, K2, K3, K12, Motif, MotifSizeError, _canonical_form, _pin_orbits,
                      vertex_join)
@@ -49,6 +53,7 @@ class Graph:
         self._deg = None
         self._adj_float = None
         self._codeg = None
+        self._tri = None
 
     @property
     def n(self) -> int:
@@ -73,13 +78,26 @@ class Graph:
 
     @property
     def codegrees(self) -> np.ndarray:
-        """A @ A in float64 (exact, entries are at most n): common neighbours of
-        each vertex pair, degrees on the diagonal.  Computed once, read-only."""
+        """A @ A: common neighbours of each vertex pair, degrees on the
+        diagonal.  The product runs in `_elim._exact_dtype(n)`, float32 (sgemm)
+        below n = 2^24, exact because its entries are at most n; it is stored
+        in float64.  Computed once, read-only."""
         if self._codeg is None:
-            a = self.adj_float()
-            self._codeg = a @ a
+            a = self.adj.astype(_exact_dtype(self.n))
+            a = a @ a       # drop the float32 input before the float64 copy
+            self._codeg = a.astype(np.float64)
             self._codeg.flags.writeable = False
         return self._codeg
+
+    @property
+    def triangle_row(self) -> np.ndarray:
+        """The K3 1-point row t(v) = sum_u A_vu (A @ A)_vu, twice the triangles
+        at v, in float64 (exact, entries are at most n^2).  Computed once,
+        read-only."""
+        if self._tri is None:
+            self._tri = np.einsum("ij,ij->i", self.adj_float(), self.codegrees)
+            self._tri.flags.writeable = False
+        return self._tri
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -223,24 +241,26 @@ _BOWTIE = vertex_join(K3, 1, K3, 1)
 
 
 def _c4_total(g: Graph) -> int:
-    codeg = g.codegrees - np.diag(np.diag(g.codegrees))
-    return _exact_total(codeg * (codeg - 1), g.n ** 4)
+    """The sum of c(c - 1) over codegrees c off the diagonal: sum c^2 less the
+    diagonal's sum d(d - 1) and sum c, which is sum d^2."""
+    c, d = g.codegrees, g.degrees
+    return _exact_total(g.n ** 4, c, c) - 2 * _exact_total(g.n ** 3, d, d) + 2 * g.n_edges
 
 
 def _bowtie_total(g: Graph) -> int:
-    """Pairs of triangles at a vertex, less those that share an edge; the
-    per-vertex reduction is bounded by n^5."""
-    codeg = g.codegrees * g.adj_float()           # codegree restricted to edges
-    tri = codeg.sum(axis=1) // 2                  # triangles at each vertex
-    tri = _as_dtype(tri, _result_dtype(g.n ** 4))   # tri * (tri - 1) < n^4
-    per_vertex = _exact_total(tri * (tri - 1), g.n ** 5) // 2
-    per_edge = _exact_total(codeg * (codeg - 1), g.n ** 4) // 4
+    """Pairs of triangles at a vertex, less those that share an edge (a pair
+    at both its ends), which the ordered-edge sum of c(c - 1), that is
+    sum A c^2 - sum t, counts four times each."""
+    a, c, t = g.adj_float(), g.codegrees, g.triangle_row
+    tri = t // 2                                  # triangles at each vertex
+    per_vertex = _exact_total(g.n ** 5, tri, tri - 1) // 2
+    per_edge = (_exact_total(g.n ** 4, a, c, c) - _exact_total(g.n ** 3, t)) // 4
     return (per_vertex - 2 * per_edge) * _BOWTIE.aut
 
 
 def _c4_vertex(g: Graph) -> np.ndarray:
     a, a2, d = g.adj_float(), g.codegrees, g.degrees
-    return (a2 * a2).sum(axis=1) - d ** 2 - a @ d + d
+    return np.einsum("ij,ij->i", a2, a2) - d ** 2 - a @ d + d
 
 
 def _k12_centre_leaf(g: Graph) -> np.ndarray:
@@ -255,21 +275,22 @@ def _c4_adjacent(g: Graph) -> np.ndarray:
 
 
 # Closed forms, one per Aut(h) orbit of pins, under the orbit's key from
-# `_pin_orbits`, built from the adjacency A, the codegrees A2 = A @ A and the
-# degrees d, with entries exact in float64.  A total is an int (each reduction
-# is `_elim._exact_total` with a static bound n^3, n^4 or n^5 on its sum), a
-# 1-point entry is X_a(v) for v in g, and a pair entry is the symmetric
-# X_{a,b}(u, v) + X_{a,b}(v, u), a fresh array the caller scales in place.
+# `_pin_orbits`, built from the adjacency A, the codegrees A2 = A @ A, the
+# triangle row t and the degrees d, with entries exact in float64.  A total is
+# an int (each reduction is `_elim._exact_total`, one pass over its operands
+# with a static bound n^3, n^4 or n^5 on its sum), a 1-point entry is X_a(v)
+# for v in g, and a pair entry is the symmetric X_{a,b}(u, v) + X_{a,b}(v, u),
+# a fresh array the caller scales in place.
 _ORBIT_FORMS = {key: form for h, pins, form in (
     (K2, (), lambda g: 2 * g.n_edges),
-    (K12, (), lambda g: _exact_total(g.degrees * (g.degrees - 1), g.n ** 3)),
-    (K3, (), lambda g: _exact_total(g.codegrees * g.adj_float(), g.n ** 3)),
+    (K12, (), lambda g: _exact_total(g.n ** 3, g.degrees, g.degrees - 1)),
+    (K3, (), lambda g: _exact_total(g.n ** 3, g.triangle_row)),
     (C4, (), _c4_total),
     (_BOWTIE, (), _bowtie_total),
     (K2, (1,), lambda g: g.degrees),
     (K12, (1,), lambda g: g.degrees * (g.degrees - 1)),
     (K12, (2,), lambda g: g.adj_float() @ g.degrees - g.degrees),
-    (K3, (1,), lambda g: (g.codegrees * g.adj_float()).sum(axis=1)),
+    (K3, (1,), lambda g: g.triangle_row),
     (C4, (1,), _c4_vertex),
     (K2, (1, 2), lambda g: 2 * g.adj_float()),
     (K12, (1, 2), _k12_centre_leaf),

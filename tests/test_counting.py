@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,52 @@ class TestGraphType:
         p.write_text("\n".join(edge_list_lines(small_graph)) + "\n")
         g2 = load_edge_list(str(p))
         assert np.array_equal(g2.adj, small_graph.adj)
+
+
+class TestCachedProducts:
+    """`Graph.codegrees` (A @ A, an sgemm) and `Graph.triangle_row` against int64."""
+
+    @staticmethod
+    def check(g, a2, tri):
+        for got, want in ((g.codegrees, a2), (g.triangle_row, tri)):
+            assert got.dtype == np.float64 and not got.flags.writeable
+            assert np.array_equal(got.astype(np.int64), want)
+            with pytest.raises(ValueError):
+                got[0] = 0
+
+    @pytest.mark.parametrize("n", [9, 60, 301])
+    def test_random_graphs_match_int64(self, n):
+        g = random_graph(n, 0.4, seed=n)
+        a = g.adj.astype(np.int64)
+        a2 = a @ a
+        self.check(g, a2, (a * a2).sum(axis=1))
+
+    def test_complete_graph(self):
+        # every off-diagonal codegree is n - 2, every triangle row (n - 1)(n - 2)
+        n = 300
+        a2 = np.full((n, n), n - 2)
+        np.fill_diagonal(a2, n - 1)
+        self.check(complete_graph(n), a2, np.full(n, (n - 1) * (n - 2)))
+
+
+def test_closed_forms_build_no_n_by_n_temporaries():
+    # numpy reports its buffers to tracemalloc; with A, A @ A and the triangle
+    # row cached, each closed form is one fused reduction over them
+    n = 600
+    g = sample_graph(graphon_by_name("paper-w1"), n, seed=[20240422, 0, n])
+    g.adj_float(), g.codegrees, g.triangle_row, g.degrees
+    calls = {"k3": lambda: count_copies(K3, g), "c4": lambda: count_copies(C4, g),
+             "bowtie": lambda: count_copies(_BOWTIE, g),
+             "k3-row": lambda: one_point_density(K3, g),
+             "c4-row": lambda: one_point_density(C4, g)}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 8 * n * n, f"{name} peaked at {peak / (8 * n * n):.2f} x 8n^2"
 
 
 class TestCountCopies:

@@ -254,8 +254,29 @@ def test_exact_sum_moves_up_through_float64_int64_object():
 def test_exact_total_takes_its_dtype_from_the_bound():
     x = np.array([2 ** 53, 1, 1])
     assert int(x.astype(np.float64).sum()) == 2 ** 53
-    assert _exact_total(x, 2 ** 53 + 2) == 2 ** 53 + 2
-    assert _exact_total(x.astype(np.float64), 2 ** 53) == 2 ** 53   # bound <= 2^53: float64
+    assert _exact_total(2 ** 53 + 2, x) == 2 ** 53 + 2
+    assert _exact_total(2 ** 53, x.astype(np.float64)) == 2 ** 53   # bound <= 2^53: float64
+
+
+@pytest.mark.parametrize("big,tier", [(2 ** 52, np.float64), (2 ** 53, np.int64),
+                                      (2 ** 63, object)],
+                         ids=["float64", "past-float64", "past-int64"])
+def test_fused_exact_total_sums_products_exactly_at_each_tier(big, tier, monkeypatch):
+    # three 2-D operands whose products sum to big + 1: a is 0/1, b * c is big
+    # on one entry and 1 on another; past 2^53, big + 1 is not a float64, and
+    # past 2^63 it wraps in int64
+    a = np.array([[0, 1, 1], [1, 0, 0]])
+    b = np.array([[5, 2 ** 31, 1], [0, 7, 3]], dtype=object)
+    c = np.array([[9, big // 2 ** 31, 1], [4, 0, 8]], dtype=object)
+    want = big + 1
+    tiers = [np.float64, np.int64, object]
+    for dtype in tiers[:tiers.index(tier)]:    # each lower tier gets it wrong
+        assert int(np.einsum("ij,ij,ij->", *(x.astype(dtype) for x in (a, b, c)))) != want
+    seen = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: seen.append(args[0].dtype) or einsum(*args))
+    assert _exact_total(want, a, b.astype(tier), c.astype(tier)) == want
+    assert seen == [np.dtype(tier)]
 
 
 @settings(max_examples=300, deadline=None)
