@@ -80,6 +80,10 @@ def write_csv(path: str, config: dict, header: list[str], rows,
         lines.extend(",".join([_fmt(x) for x in row]) for row in rows)
     for c in footer_comments or []:
         lines.append(f"# {c}")
+    _write_lines(path, lines)
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
@@ -139,13 +143,7 @@ _level = _open_interval(0, 1, "a level in (0, 1)")
 def _cmd_sample(args, config, t0):
     w = graphon_by_name(args.graphon)
     g = sample_graph(w, args.n, seed=args.seed)
-    lines = [f"# config: {json.dumps(config, sort_keys=True)}"] + edge_list_lines(g)
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write_lines(args.out, [f"# config: {json.dumps(config, sort_keys=True)}"] + edge_list_lines(g))
     return _summary(config, t0, n=g.n, edges=g.n_edges, out=args.out)
 
 

@@ -20,6 +20,9 @@ quotient class is contracted once.
 
 from __future__ import annotations
 
+import io
+import re
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,13 +104,18 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """The graph on vertices 0..n-1 with the given (u, v) integer pairs as edges."""
+        e = np.asarray(edges)
+        if e.size and (e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu"):
+            raise ValueError(f"edges must be integer (u, v) pairs, got {e.dtype} {e.shape}")
+        e = e.reshape(-1, 2).astype(np.int64, copy=False)
+        bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1) | (e[:, 0] == e[:, 1]))
+        if bad.size:
+            u, v = e[bad[0]].tolist()
+            what = f"self-loop at vertex {u}" if u == v else f"out of range for n={n}"
+            raise ValueError(f"edge {bad[0]} ({u}, {v}): {what}")
         a = np.zeros((n, n), dtype=np.uint8)
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            a[u, v] = a[v, u] = 1
+        a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1
         return cls(a)
 
     def __repr__(self):
@@ -115,32 +123,24 @@ class Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Edge list: one "u v" pair per line, 0-indexed, comments start with '#'.
-
-    A comment of the form "# n=N" pins the vertex count; otherwise n is the
-    largest index plus one.
-    """
-    edges = []
+    """Edge list: one "u v" pair per line, 0-indexed.  A '#' starts a comment line
+    (a comment after an edge is an error); the first "# n=N" comment pins the
+    vertex count, otherwise n is the largest index plus one."""
     n = None
-    max_idx = -1
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("n=") and n is None:
-                n = int(body[2:])
-            continue
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
-        max_idx = max(max_idx, u, v)
-    if n is None:
-        n = max_idx + 1
-    return Graph.from_edges(n, edges)
+    for m in re.finditer(r"#[^\S\n]*(n=)?(.*)", text):     # the first '#' of each line
+        start = text.rfind("\n", 0, m.start()) + 1
+        if text[start:m.start()].strip():
+            raise ValueError(f"line {text.count(chr(10), 0, start) + 1}: a comment after an edge")
+        if m[1] and n is None:
+            n = int(m[2])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # older numpy reads "1.5" as the integer 1 with a warning: make it an error
+        warnings.simplefilter("error", DeprecationWarning)
+        edges = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+    if edges.size and edges.shape[1] != 2:
+        raise ValueError(f"row 1: expected 'u v', got {edges.shape[1]} tokens")
+    return Graph.from_edges(int(edges.max(initial=-1)) + 1 if n is None else n, edges)
 
 
 def load_edge_list(path: str) -> Graph:
@@ -149,10 +149,10 @@ def load_edge_list(path: str) -> Graph:
 
 
 def edge_list_lines(g: Graph) -> list[str]:
-    lines = [f"# n={g.n}"]
-    ii, jj = np.nonzero(np.triu(g.adj, k=1))
-    lines.extend(f"{u} {v}" for u, v in zip(ii.tolist(), jj.tolist()))
-    return lines
+    """The "# n=N" pin, then one "u v" line per edge, u < v, in row order."""
+    pairs = np.argwhere(np.triu(g.adj, k=1))
+    template = "\n".join([f"# n={g.n}"] + ["%d %d"] * len(pairs))
+    return (template % tuple(pairs.ravel().tolist())).split("\n")
 
 
 def empirical_graphon(g: Graph) -> BlockGraphon:

@@ -20,7 +20,7 @@ from .bootstrap import empirical_quantile, multiplier_draws
 from .counting import (Graph, count_copies, density_hat_t, falling_factorial,
                        one_point_density, regularity_R_empirical)
 from .graphon import Graphon, hom_density
-from .limitlaw import LimitSpec, build_limit_spec, gamma_matrix, regularity_R_graphon
+from .limitlaw import LimitSpec, build_limit_spec, gamma_matrix
 from .motifs import C4, K2, Motif
 
 
@@ -291,6 +291,6 @@ def structure_alt_params(w: Graphon) -> StructureAltParams:
     return StructureAltParams(
         case=1 + spec.regular[1] + 2 * spec.regular[0], f_value=t2 ** 4 - t4,
         tau_sq=float(grad[irr] @ cov[np.ix_(irr, irr)] @ grad[irr]) if irr else None,
-        r_k2=regularity_R_graphon(K2, w), r_c4=regularity_R_graphon(C4, w),
+        r_k2=float(cov[0, 0]), r_c4=float(cov[1, 1]),
         cross_cov=cov[0, 1], edge_density=t2, c4_density=t4,
         limit_spec=None if irr else spec, coefficients=None if irr else tuple(grad * aut))

@@ -76,7 +76,8 @@ class LimitSpec:
 def build_limit_spec(motifs, w: Graphon, grid: int = DEFAULT_GRID) -> LimitSpec:
     """The one regularity verdict, R(h, w) < REGULARITY_TOL per motif; fills in sigma."""
     motifs = tuple(motifs)
-    regular = tuple(regularity_R_graphon(h, w) < REGULARITY_TOL for h in motifs)
+    gamma = np.diag(gamma_matrix(motifs, w).entries).tolist() if motifs else []
+    regular = tuple(h.aut ** 2 * g < REGULARITY_TOL for h, g in zip(motifs, gamma))
     reg_motifs = tuple(h for h, r in zip(motifs, regular) if r)
     sigma = sigma_matrix(reg_motifs, w) if reg_motifs else None
     return LimitSpec(motifs, regular, w, grid, sigma)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -47,9 +48,10 @@ class TestGraphType:
         assert small_graph.n_edges == 5
 
     def test_edge_list_roundtrip(self, small_graph):
-        text = "\n".join(edge_list_lines(small_graph))
-        g2 = parse_edge_list(text)
-        assert np.array_equal(g2.adj, small_graph.adj)
+        for g in (small_graph, sample_graph(graphon_by_name("paper-w1"), 400, seed=2)):
+            text = "\n".join(edge_list_lines(g))
+            g2 = parse_edge_list(text)
+            assert np.array_equal(g2.adj, g.adj)
 
     def test_loader_validates(self):
         with pytest.raises(ValueError):
@@ -58,10 +60,27 @@ class TestGraphType:
             parse_edge_list("# n=3\n0 5\n")
         with pytest.raises(ValueError):
             parse_edge_list("0 1 2\n")
+        # a negative index, a token that is not an integer, a line of one or
+        # three tokens among pairs, a comment after an edge on its line
+        for text in ["0 1\n-1 2\n", "0 x\n", "0 1.5\n", "0 1\n2\n", "0 1\n1 2 3\n",
+                     "0 1 # c\n"]:
+            with pytest.raises(ValueError, match=r"\b(row|line|edge)\b"):
+                parse_edge_list(text)
+        # a non-integer pair is refused, not truncated to an index
+        with pytest.raises(ValueError, match="integer"):
+            Graph.from_edges(3, [(0, 1.5)])
 
     def test_loader_comments_and_n(self):
         g = parse_edge_list("# n=5\n# comment\n0 1\n\n2 3\n")
         assert g.n == 5 and g.n_edges == 2
+        # the first pin holds wherever it stands
+        g = parse_edge_list("0 1\n#  n=6\n2 3\n# n=9\n")
+        assert g.n == 6 and g.n_edges == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in ["", "# only a comment\n"]:
+                g = parse_edge_list(text)
+                assert g.n == 0 and g.n_edges == 0
 
     def test_load_edge_list_file(self, tmp_path, small_graph):
         p = tmp_path / "g.txt"

@@ -6,7 +6,7 @@ import pytest
 from graphonstat import (K2, K3, C4, DegenerateDensityError, build_limit_spec,
                          constant_graphon, density_hat_t, empirical_quantile, hom_density,
                          joint_confidence_set, marginal_ci, multiplier_draws,
-                         regularity_test,
+                         regularity_R_graphon, regularity_test,
                          sample_graph, structure_alt_params,
                          structure_null_variance, structure_stat, structure_test)
 from graphonstat.counting import Graph
@@ -178,8 +178,13 @@ class TestStructureAltParams:
                         (w_c4_regular_degree_irregular, 2),
                         (w_degree_regular_c4_irregular, 3), (w_two_community, 4),
                         (w_bipartite_half, 4), (constant_graphon(0.3), 4)):
-            assert structure_alt_params(w).case == case
+            ap = structure_alt_params(w)
+            assert ap.case == case
             assert build_limit_spec([K2, C4], w).regular == flags[case]
+            # R read off the covariance diagonal, |Aut|^2 Gamma_ii
+            np.testing.assert_allclose([ap.r_k2, ap.r_c4], [regularity_R_graphon(K2, w),
+                                                            regularity_R_graphon(C4, w)],
+                                       rtol=1e-12)
 
     def test_case4_handle(self, w_const_half):
         ap = structure_alt_params(w_const_half)
